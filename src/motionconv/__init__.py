@@ -2,7 +2,7 @@
 
 Key frames run dense convolution; the frames that follow reuse cached
 layer outputs through stride-aligned block matching and convolve only the
-sparse thresholded residuals. Every floating-point operation is counted
+thresholded residuals. Every floating-point operation is counted
 exactly and reconciled against a closed-form cost model.
 """
 
@@ -18,25 +18,9 @@ from .analysis import (
 from .bayer import BayerFrame, load_raw_sequence, mosaic, pack, save_raw_sequence, unpack
 from .layer import LayerCache, MotionCompLayer
 from .ledger import FlopsLedger
-from .motion import (
-    MotionField,
-    MotionParams,
-    MotionVector,
-    field_from_vectors,
-    sad,
-    search,
-    threshold_residual,
-)
+from .motion import MotionField, MotionParams, MotionVector, field_from_vectors, search
 from .scheduler import GopConfig, Network, RunResult, run_sequence, segment
 from .synth import SceneSpec, expected_motion, generate, random_conv_spec
-from .tensors import (
-    ConvSpec,
-    SparseBlock,
-    conv2d,
-    conv_sparse_block,
-    extract_block,
-    load_weights,
-    save_weights,
-)
+from .tensors import ConvSpec, conv2d, load_weights, save_weights
 
 __version__ = "0.1.0"

@@ -47,6 +47,29 @@ class VerifyFailure(Exception):
     pass
 
 
+def _checked(cast, ok, what: str):
+    """argparse ``type=`` converter that rejects values outside the domain
+    at parse time, so they exit 2 as usage errors."""
+
+    def convert(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+
+    return convert
+
+
+_GOP = _checked(int, lambda v: v >= 1, "a GOP length >= 1")
+_TAU = _checked(float, lambda v: v >= 0, "a threshold >= 0")
+_RANGE = _checked(int, lambda v: v >= 0, "a search range >= 0")
+_EARLY_STOP = _checked(float, lambda v: v <= 1, "a density <= 1 (negative disables)")
+_DENSITY = _checked(float, lambda v: 0 <= v <= 1, "a density in [0, 1]")
+
+
 def _load_scene(arg: str, seed: int) -> SceneSpec:
     text = arg if arg.lstrip().startswith("{") else Path(arg).read_text()
     try:
@@ -178,14 +201,14 @@ def cmd_run(args) -> int:
     return 0
 
 
-_SWEEP_AXES = {"gop": int, "threshold": float, "search_range": int}
+_SWEEP_AXES = {"gop": _GOP, "threshold": _TAU, "search_range": _RANGE}
 
 
 def cmd_sweep(args) -> int:
     cast = _SWEEP_AXES[args.axis]
     try:
         values = [cast(v) for v in args.values.split(",") if v.strip() != ""]
-    except ValueError as exc:
+    except argparse.ArgumentTypeError as exc:
         raise UsageError(f"bad sweep values {args.values!r}: {exc}") from exc
     if len(values) < 2:
         raise UsageError("sweep needs at least 2 values")
@@ -338,12 +361,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sidecar", help="JSON sidecar for --input")
     p.add_argument("--scene", help="scene spec: JSON file path or inline JSON")
     p.add_argument("--net", help="network description JSON")
-    p.add_argument("--gop", type=int, default=DEFAULT_GOP, help="GOP length (default 12)")
-    p.add_argument("--tau", type=float, default=None, help="residual threshold (default 0.01)")
-    p.add_argument("--range", type=int, default=None, help="search range in grid steps (default 1)")
-    p.add_argument("--early-stop", type=float, default=None, dest="early_stop",
+    p.add_argument("--gop", type=_GOP, default=DEFAULT_GOP, help="GOP length (default 12)")
+    p.add_argument("--tau", type=_TAU, default=None, help="residual threshold (default 0.01)")
+    p.add_argument("--range", type=_RANGE, default=None, help="search range in grid steps (default 1)")
+    p.add_argument("--early-stop", type=_EARLY_STOP, default=None, dest="early_stop",
                    help="early-stop density trigger; negative disables (default 0.3)")
-    p.add_argument("--beta-max", type=float, default=None, dest="beta_max",
+    p.add_argument("--beta-max", type=_DENSITY, default=None, dest="beta_max",
                    help="densest residual still matched (default 0.9)")
     p.add_argument("--oracle", action="store_true", help="also run the dense pipeline and report errors")
     p.add_argument("--out", default="motionconv_out", help="output directory (default motionconv_out)")
@@ -385,7 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 on usage errors, 0 after --help
+        return exc.code
     try:
         return args.func(args)
     except UsageError as exc:

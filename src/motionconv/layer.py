@@ -180,8 +180,9 @@ class MotionCompLayer:
         """Predict from the cached reference output and compensate residuals.
 
         Matched positions copy the cached output at the vector-displaced grid
-        position (a free copy in the FLOPs model) and add the sparse residual
-        convolution; no bias is re-added there because the prediction already
+        position (a free copy in the FLOPs model) and add the convolution of
+        their thresholded residual rows; rows with no kept entry are pure
+        copies. No bias is re-added there because the prediction already
         carries it. Unmatched positions, and matched positions whose
         prediction would fall outside the output grid, are computed densely
         with bias and charged as unmatched work. ``field`` overrides the
@@ -198,6 +199,7 @@ class MotionCompLayer:
         spec = self.spec
         h, w = x.shape[1], x.shape[2]
         out_h, out_w = spec.out_shape(h, w)
+        bsz = spec.block_size
         if field is None:
             field = search(x, self.cache.prev_input, spec, self.params, ledger)
         elif (field.out_h, field.out_w) != (out_h, out_w):
@@ -205,9 +207,15 @@ class MotionCompLayer:
                 f"motion field grid {(field.out_h, field.out_w)} does not match "
                 f"output grid {(out_h, out_w)}"
             )
+        elif not isinstance(getattr(field, "residual", None), np.ndarray):
+            raise LayerError("motion field carries no residual array")
+        elif field.residual.shape != (out_h * out_w, bsz):
+            raise LayerError(
+                f"motion field residual has shape {field.residual.shape}, "
+                f"expected {(out_h * out_w, bsz)}"
+            )
         s = spec.stride
         c_out = spec.out_channels
-        bsz = spec.block_size
 
         src_i = np.arange(out_h)[:, None] + field.mv_dy // s
         src_j = np.arange(out_w)[None, :] + field.mv_dx // s
@@ -223,18 +231,15 @@ class MotionCompLayer:
             out[:, mi, mj] = self.cache.prev_output[:, src_i[mi, mj], src_j[mi, mj]]
             ledger.add_pred_bytes(4 * c_out * mi.size)
             if self.compensate:
-                dense = np.zeros((mi.size, bsz), dtype=np.float32)
-                k, k2 = spec.kernel_size, spec.kernel_size * spec.kernel_size
-                for row in range(mi.size):
-                    blk = field.residuals[(int(mi[row]), int(mj[row]))]
-                    if blk.nnz:
-                        flat = blk.channels * k2 + blk.dys * k + blk.dxs
-                        dense[row, flat] = blk.values
-                        nnz_total += blk.nnz
-                contrib = dense @ spec.weights.reshape(c_out, -1).T
+                # rows with an empty residual are pure copies
+                rows = mi * out_w + mj
+                row_nnz = field.nnz.ravel()[rows]
+                rows = rows[row_nnz > 0]
+                nnz_total = int(row_nnz.sum())
+                contrib = field.residual[rows] @ spec.weights.reshape(c_out, -1).T
                 if self.post_scale is not None:
                     contrib = contrib * self.post_scale
-                out[:, mi, mj] += contrib.T
+                out[:, rows // out_w, rows % out_w] += contrib.T
                 ledger.charge("res", 2 * nnz_total * c_out)
 
         ui, uj = np.nonzero(~served)

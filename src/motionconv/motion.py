@@ -3,28 +3,21 @@
 Every output position owns one block the size of the kernel's receptive
 field. Candidates are stride-aligned offsets within the search range,
 scored by SAD against the reference frame; the winning block's
-thresholded difference becomes a sparse residual. Matches whose residual
-stays too dense are handed back to the dense fallback path.
+thresholded difference becomes that position's row of one dense residual
+array. Matches whose residual stays too dense are handed back to the
+dense fallback path.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import IO
 
 import numpy as np
 
 from .ledger import FlopsLedger
-from .tensors import (
-    ConvSpec,
-    FeatureMap,
-    SparseBlock,
-    ensure_feature_map,
-    extract_block,
-    read_block_at,
-    unfold_blocks,
-)
+from .tensors import ConvSpec, FeatureMap, ensure_feature_map, unfold_blocks
 
 
 @dataclass(frozen=True)
@@ -75,9 +68,12 @@ class MotionField:
     """Per-position search outcome for one frame at one layer.
 
     ``mv_dy``/``mv_dx``/``sad``/``nnz`` hold the winning candidate for every
-    position, including unmatched ones; ``residuals`` only stores blocks for
-    matched positions. ``alpha`` is the matched fraction, ``beta`` the mean
-    residual density over matched positions.
+    position, including unmatched ones. ``residual`` is ``(out_h * out_w,
+    block_size)`` float32 in raster order and ``unfold_blocks`` layout: the
+    thresholded difference of each matched position, zero for entries below
+    the threshold and for every row of an unmatched position. ``alpha`` is
+    the matched fraction, ``beta`` the mean residual density over matched
+    positions.
     """
 
     out_h: int
@@ -89,7 +85,7 @@ class MotionField:
     mv_dx: np.ndarray
     sad: np.ndarray
     nnz: np.ndarray
-    residuals: dict[tuple[int, int], SparseBlock] = field(default_factory=dict)
+    residual: np.ndarray
     alpha: float = 0.0
     beta: float = 0.0
 
@@ -109,7 +105,7 @@ class MotionField:
         m = int(np.count_nonzero(self.matched))
         if m == 0:
             return 0.0
-        total = sum(blk.nnz for blk in self.residuals.values())
+        total = int(self.nnz[self.matched].sum())
         return total / (m * self.block_size)
 
     def to_csv(self, dest: IO[str] | str) -> None:
@@ -140,50 +136,6 @@ class MotionField:
                 dest.close()
 
 
-def sad(block_a: np.ndarray, block_b: np.ndarray, ledger: FlopsLedger | None) -> float:
-    """Sum of absolute differences between two same-shaped dense blocks.
-
-    Charges 2 FLOPs per element (difference plus accumulation; the absolute
-    value is uncharged).
-    """
-    a = np.asarray(block_a, dtype=np.float32)
-    b = np.asarray(block_b, dtype=np.float32)
-    if a.shape != b.shape:
-        raise ValueError(f"block shapes differ: {a.shape} vs {b.shape}")
-    if ledger is not None:
-        ledger.charge("me", 2 * a.size)
-    return float(np.sum(np.abs(a - b), dtype=np.float64))
-
-
-def threshold_residual(
-    current: np.ndarray,
-    reference: np.ndarray,
-    tau: float,
-    anchor: tuple[int, int] = (0, 0),
-) -> SparseBlock:
-    """Sparse block of differences with magnitude >= tau.
-
-    Boundary values are kept; zero differences are never stored, so tau=0
-    keeps exactly the nonzero differences.
-    """
-    if tau < 0:
-        raise ValueError(f"threshold must be >= 0, got {tau}")
-    cur = np.asarray(current, dtype=np.float32)
-    ref = np.asarray(reference, dtype=np.float32)
-    if cur.shape != ref.shape:
-        raise ValueError(f"block shapes differ: {cur.shape} vs {ref.shape}")
-    diff = cur - ref
-    keep = (np.abs(diff) >= tau) & (diff != 0)
-    c_idx, y_idx, x_idx = np.nonzero(keep)
-    return SparseBlock(
-        anchor=anchor,
-        channels=c_idx.astype(np.int32),
-        dys=y_idx.astype(np.int32),
-        dxs=x_idx.astype(np.int32),
-        values=diff[keep],
-    )
-
-
 def _candidate_offsets(search_range: int) -> list[tuple[int, int]]:
     # (0, 0) first so zero motion wins SAD ties; the rest in raster order.
     offsets = [(0, 0)]
@@ -194,18 +146,12 @@ def _candidate_offsets(search_range: int) -> list[tuple[int, int]]:
     return offsets
 
 
-def _entries_from_flat(
-    flat_idx: np.ndarray, values: np.ndarray, kernel_size: int, anchor: tuple[int, int]
-) -> SparseBlock:
-    k2 = kernel_size * kernel_size
-    rem = flat_idx % k2
-    return SparseBlock(
-        anchor=anchor,
-        channels=(flat_idx // k2).astype(np.int32),
-        dys=(rem // kernel_size).astype(np.int32),
-        dxs=(rem % kernel_size).astype(np.int32),
-        values=values,
-    )
+def _thresholded(diff: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Residual rows of ``diff`` keeping entries with magnitude >= tau, and
+    the kept count per row. Boundary values are kept; zero differences
+    never count, so tau=0 keeps exactly the nonzero differences."""
+    keep = (np.abs(diff) >= tau) & (diff != 0)
+    return np.where(keep, diff, np.float32(0)), np.count_nonzero(keep, axis=1)
 
 
 def search(
@@ -248,6 +194,7 @@ def search(
     best_sad = np.full(n, np.inf, dtype=np.float64)
     best_cand = np.full(n, -1, dtype=np.int32)
     best_nnz = np.zeros(n, dtype=np.int64)
+    residual = np.zeros((n, bsz), dtype=np.float32)
     active = np.ones(n, dtype=bool)
 
     offsets = _candidate_offsets(r)
@@ -265,33 +212,19 @@ def search(
             imp = idx[improved]
             best_sad[imp] = sad_vals[improved]
             best_cand[imp] = ci
-            d_imp = diff[improved]
-            nnz_imp = np.count_nonzero((np.abs(d_imp) >= tau) & (d_imp != 0), axis=1)
-            best_nnz[imp] = nnz_imp
+            residual[imp], best_nnz[imp] = _thresholded(diff[improved], tau)
             if params.early_stop_enabled:
-                stop = nnz_imp <= params.early_stop_density * bsz
+                stop = best_nnz[imp] <= params.early_stop_density * bsz
                 active[imp[stop]] = False
 
     matched_flat = best_nnz <= params.match_max_density * bsz
+    residual[~matched_flat] = 0
     mv_dy = (np.array([o[0] for o in offsets], dtype=np.int32)[best_cand] * s).reshape(
         out_h, out_w
     )
     mv_dx = (np.array([o[1] for o in offsets], dtype=np.int32)[best_cand] * s).reshape(
         out_h, out_w
     )
-
-    residuals: dict[tuple[int, int], SparseBlock] = {}
-    matched_idx = np.flatnonzero(matched_flat)
-    for ci in np.unique(best_cand[matched_idx]):
-        qy, qx = offsets[ci]
-        sel = matched_idx[best_cand[matched_idx] == ci]
-        ref_rows = (pos_i[sel] + qy + r) * ext_w + (pos_j[sel] + qx + r)
-        diff = cur_blocks[sel] - ext_flat[ref_rows]
-        keep = (np.abs(diff) >= tau) & (diff != 0)
-        for row, flat_pos in enumerate(sel):
-            anchor = (int(pos_i[flat_pos]), int(pos_j[flat_pos]))
-            cols = np.flatnonzero(keep[row])
-            residuals[anchor] = _entries_from_flat(cols, diff[row, cols], k, anchor)
 
     fld = MotionField(
         out_h=out_h,
@@ -303,7 +236,7 @@ def search(
         mv_dx=mv_dx,
         sad=best_sad.reshape(out_h, out_w),
         nnz=best_nnz.astype(np.int32).reshape(out_h, out_w),
-        residuals=residuals,
+        residual=residual,
     )
     fld.alpha = fld.recompute_alpha()
     fld.beta = fld.recompute_beta()
@@ -338,21 +271,28 @@ def field_from_vectors(
     s = spec.stride
     if ((mv_dy % s) != 0).any() or ((mv_dx % s) != 0).any():
         raise ValueError("motion vectors must be integer multiples of the stride")
+    if tau < 0:
+        raise ValueError(f"threshold must be >= 0, got {tau}")
     k, p = spec.kernel_size, spec.padding
-    bsz = spec.block_size
+    n, bsz = out_h * out_w, spec.block_size
 
-    residuals: dict[tuple[int, int], SparseBlock] = {}
-    nnz = np.zeros((out_h, out_w), dtype=np.int32)
-    sad_arr = np.zeros((out_h, out_w), dtype=np.float64)
-    for i, j in zip(*np.nonzero(matched)):
-        y0 = i * s - p + int(mv_dy[i, j])
-        x0 = j * s - p + int(mv_dx[i, j])
-        cur_blk = extract_block(cur, spec, int(i), int(j))
-        ref_blk = read_block_at(ref, y0, x0, k)
-        blk = threshold_residual(cur_blk, ref_blk, tau, anchor=(int(i), int(j)))
-        residuals[(int(i), int(j))] = blk
-        nnz[i, j] = blk.nnz
-        sad_arr[i, j] = float(np.sum(np.abs(cur_blk - ref_blk), dtype=np.float64))
+    # Sources more than ceil((k + s) / s) grid steps outside the grid read
+    # only zeros, as that step itself does, so the gather is clipped there.
+    steps_y, steps_x = mv_dy // s, mv_dx // s
+    reach = max(np.abs(steps_y[matched]).max(initial=0), np.abs(steps_x[matched]).max(initial=0))
+    e = min(int(reach), -(-(k + s) // s))
+    src_i = np.clip(np.arange(out_h)[:, None] + steps_y, -e, out_h - 1 + e) + e
+    src_j = np.clip(np.arange(out_w)[None, :] + steps_x, -e, out_w - 1 + e) + e
+    rows = np.flatnonzero(matched)
+    ref_rows = (src_i * (out_w + 2 * e) + src_j).ravel()[rows]
+    ext = unfold_blocks(ref, k, s, p, extra_steps=e).reshape(-1, bsz)
+    diff = unfold_blocks(cur, k, s, p).reshape(n, bsz)[rows] - ext[ref_rows]
+
+    residual = np.zeros((n, bsz), dtype=np.float32)
+    nnz = np.zeros(n, dtype=np.int32)
+    sad_arr = np.zeros(n, dtype=np.float64)
+    residual[rows], nnz[rows] = _thresholded(diff, tau)
+    sad_arr[rows] = np.sum(np.abs(diff), axis=1, dtype=np.float64)
 
     fld = MotionField(
         out_h=out_h,
@@ -362,9 +302,9 @@ def field_from_vectors(
         matched=matched.copy(),
         mv_dy=mv_dy.copy(),
         mv_dx=mv_dx.copy(),
-        sad=sad_arr,
-        nnz=nnz,
-        residuals=residuals,
+        sad=sad_arr.reshape(out_h, out_w),
+        nnz=nnz.reshape(out_h, out_w),
+        residual=residual,
     )
     fld.alpha = fld.recompute_alpha()
     fld.beta = fld.recompute_beta()

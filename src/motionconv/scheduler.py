@@ -227,6 +227,8 @@ def run_sequence(net: Network, frames: Iterable[FeatureMap], config: GopConfig) 
             oracle_max.append(float(diff.max()))
             oracle_mean.append(float(diff.mean()))
 
+    # every run starts with a key frame, so the caches are dead from here on
+    net.reset_all()
     if frame_count == 0:
         raise ValueError("empty frame sequence")
     return RunResult(

@@ -1,4 +1,4 @@
-"""Dense feature maps, reference 2-D convolution, and sparse block convolution.
+"""Dense feature maps, reference 2-D convolution, and receptive-field gathers.
 
 A feature map is a plain ``(channels, height, width)`` float32 ndarray.
 Convolution uses zero padding, odd square kernels, and charges
@@ -9,9 +9,9 @@ kernel element) to the caller's ledger.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -103,51 +103,6 @@ class ConvSpec:
         return 2 * self.block_size * self.out_channels * out_h * out_w
 
 
-@dataclass
-class SparseBlock:
-    """Thresholded residual for one receptive field.
-
-    Entries are parallel arrays of (channel, dy, dx, value) with every
-    stored value nonzero; ``anchor`` is the output position the block
-    compensates.
-    """
-
-    anchor: tuple[int, int]
-    channels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
-    dys: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
-    dxs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
-    values: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float32))
-
-    def __post_init__(self):
-        self.channels = np.asarray(self.channels, dtype=np.int32)
-        self.dys = np.asarray(self.dys, dtype=np.int32)
-        self.dxs = np.asarray(self.dxs, dtype=np.int32)
-        self.values = np.asarray(self.values, dtype=np.float32)
-        n = self.channels.shape[0]
-        if not (self.dys.shape == self.dxs.shape == self.values.shape == (n,)):
-            raise ValueError("entry arrays must have identical length")
-        if n and (not np.isfinite(self.values).all() or (self.values == 0.0).any()):
-            raise ValueError("entry values must be finite and nonzero")
-
-    @classmethod
-    def empty(cls, anchor: tuple[int, int] = (0, 0)) -> "SparseBlock":
-        return cls(anchor=anchor)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.values.shape[0])
-
-    def entries(self) -> Iterator[tuple[int, int, int, float]]:
-        for c, dy, dx, v in zip(self.channels, self.dys, self.dxs, self.values):
-            yield int(c), int(dy), int(dx), float(v)
-
-    def densify(self, in_channels: int, kernel_size: int) -> np.ndarray:
-        """Expand to a dense (C_in, k, k) block of the entry values."""
-        dense = np.zeros((in_channels, kernel_size, kernel_size), dtype=np.float32)
-        dense[self.channels, self.dys, self.dxs] = self.values
-        return dense
-
-
 def unfold_blocks(
     x: np.ndarray, kernel_size: int, stride: int, padding: int, extra_steps: int = 0
 ) -> np.ndarray:
@@ -193,58 +148,6 @@ def conv2d(
     if not np.isfinite(result).all():
         raise ValueError("convolution produced non-finite values")
     return result
-
-
-def extract_block(x: FeatureMap, spec: ConvSpec, i: int, j: int) -> np.ndarray:
-    """Dense (C_in, k, k) receptive field of output position (i, j),
-    zero-filled where the field extends past the frame."""
-    x = ensure_feature_map(x, channels=spec.in_channels)
-    h, w = x.shape[1], x.shape[2]
-    out_h, out_w = spec.out_shape(h, w)
-    if not (0 <= i < out_h and 0 <= j < out_w):
-        raise ValueError(f"position ({i}, {j}) outside output grid {out_h}x{out_w}")
-    k, s, p = spec.kernel_size, spec.stride, spec.padding
-    return read_block_at(x, i * s - p, j * s - p, k)
-
-
-def read_block_at(x: np.ndarray, y0: int, x0: int, k: int) -> np.ndarray:
-    """Read a (C, k, k) window anchored at input pixel (y0, x0), zero-padded."""
-    c, h, w = x.shape
-    block = np.zeros((c, k, k), dtype=np.float32)
-    y_lo, y_hi = max(0, y0), min(h, y0 + k)
-    x_lo, x_hi = max(0, x0), min(w, x0 + k)
-    if y_lo < y_hi and x_lo < x_hi:
-        block[:, y_lo - y0 : y_hi - y0, x_lo - x0 : x_hi - x0] = x[:, y_lo:y_hi, x_lo:x_hi]
-    return block
-
-
-def conv_sparse_block(
-    block: SparseBlock, spec: ConvSpec, ledger: FlopsLedger | None
-) -> np.ndarray:
-    """Convolve one sparse residual block: out[o] = sum over entries of
-    weights[o, c, dy, dx] * value. No bias (the predicted output already
-    carries it). Charges 2 * nnz * C_out; an empty block charges nothing.
-    """
-    k = spec.kernel_size
-    if block.nnz == 0:
-        return np.zeros(spec.out_channels, dtype=np.float32)
-    if (
-        (block.channels < 0).any()
-        or (block.channels >= spec.in_channels).any()
-        or (block.dys < 0).any()
-        or (block.dys >= k).any()
-        or (block.dxs < 0).any()
-        or (block.dxs >= k).any()
-    ):
-        raise ValueError(
-            f"sparse block at position {block.anchor} has entries outside "
-            f"kernel bounds (k={k}, C_in={spec.in_channels})"
-        )
-    gathered = spec.weights[:, block.channels, block.dys, block.dxs]  # (C_out, nnz)
-    out = gathered @ block.values
-    if ledger is not None:
-        ledger.charge("res", 2 * block.nnz * spec.out_channels)
-    return out.astype(np.float32, copy=False)
 
 
 def save_weights(spec: ConvSpec, path) -> Path:

@@ -1,10 +1,20 @@
 """Independent brute-force references for the numeric kernels.
 
 Deliberately loop-based and float64-accumulated; these stay independent
-of the vectorized implementations they check.
+of the vectorized implementations they check. The per-position kernels
+below them (``SparseBlock``, ``threshold_residual``, ``sad``,
+``extract_block``, ``read_block_at``, ``conv_sparse_block``) compute one
+receptive field at a time, as the pipeline once did; ``loop_forward_nonkey``
+composes them into a position-by-position non-key layer forward.
 """
 
+from dataclasses import dataclass, field
+from typing import Iterator
+
 import numpy as np
+
+from motionconv.ledger import FlopsLedger
+from motionconv.tensors import ConvSpec, ensure_feature_map
 
 
 def naive_conv2d(x, weights, bias, stride, padding):
@@ -58,4 +68,222 @@ def naive_sparse_conv(entries, weights):
     for c, dy, dx, v in entries:
         for o in range(c_out):
             out[o] += float(weights[o, c, dy, dx]) * float(v)
+    return out
+
+
+@dataclass
+class SparseBlock:
+    """Thresholded residual for one receptive field.
+
+    Entries are parallel arrays of (channel, dy, dx, value) with every
+    stored value nonzero; ``anchor`` is the output position the block
+    compensates.
+    """
+
+    anchor: tuple[int, int]
+    channels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
+    dys: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
+    dxs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
+    values: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float32))
+
+    def __post_init__(self):
+        self.channels = np.asarray(self.channels, dtype=np.int32)
+        self.dys = np.asarray(self.dys, dtype=np.int32)
+        self.dxs = np.asarray(self.dxs, dtype=np.int32)
+        self.values = np.asarray(self.values, dtype=np.float32)
+        n = self.channels.shape[0]
+        if not (self.dys.shape == self.dxs.shape == self.values.shape == (n,)):
+            raise ValueError("entry arrays must have identical length")
+        if n and (not np.isfinite(self.values).all() or (self.values == 0.0).any()):
+            raise ValueError("entry values must be finite and nonzero")
+
+    @classmethod
+    def empty(cls, anchor: tuple[int, int] = (0, 0)) -> "SparseBlock":
+        return cls(anchor=anchor)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.values.shape[0])
+
+    def entries(self) -> Iterator[tuple[int, int, int, float]]:
+        for c, dy, dx, v in zip(self.channels, self.dys, self.dxs, self.values):
+            yield int(c), int(dy), int(dx), float(v)
+
+    def densify(self, in_channels: int, kernel_size: int) -> np.ndarray:
+        """Expand to a dense (C_in, k, k) block of the entry values."""
+        dense = np.zeros((in_channels, kernel_size, kernel_size), dtype=np.float32)
+        dense[self.channels, self.dys, self.dxs] = self.values
+        return dense
+
+
+def sad(block_a: np.ndarray, block_b: np.ndarray, ledger: FlopsLedger | None) -> float:
+    """Sum of absolute differences between two same-shaped dense blocks.
+
+    Charges 2 FLOPs per element (difference plus accumulation; the absolute
+    value is uncharged).
+    """
+    a = np.asarray(block_a, dtype=np.float32)
+    b = np.asarray(block_b, dtype=np.float32)
+    if a.shape != b.shape:
+        raise ValueError(f"block shapes differ: {a.shape} vs {b.shape}")
+    if ledger is not None:
+        ledger.charge("me", 2 * a.size)
+    return float(np.sum(np.abs(a - b), dtype=np.float64))
+
+
+def threshold_residual(
+    current: np.ndarray,
+    reference: np.ndarray,
+    tau: float,
+    anchor: tuple[int, int] = (0, 0),
+) -> SparseBlock:
+    """Sparse block of differences with magnitude >= tau.
+
+    Boundary values are kept; zero differences are never stored, so tau=0
+    keeps exactly the nonzero differences.
+    """
+    if tau < 0:
+        raise ValueError(f"threshold must be >= 0, got {tau}")
+    cur = np.asarray(current, dtype=np.float32)
+    ref = np.asarray(reference, dtype=np.float32)
+    if cur.shape != ref.shape:
+        raise ValueError(f"block shapes differ: {cur.shape} vs {ref.shape}")
+    diff = cur - ref
+    keep = (np.abs(diff) >= tau) & (diff != 0)
+    c_idx, y_idx, x_idx = np.nonzero(keep)
+    return SparseBlock(
+        anchor=anchor,
+        channels=c_idx.astype(np.int32),
+        dys=y_idx.astype(np.int32),
+        dxs=x_idx.astype(np.int32),
+        values=diff[keep],
+    )
+
+
+def extract_block(x: np.ndarray, spec: ConvSpec, i: int, j: int) -> np.ndarray:
+    """Dense (C_in, k, k) receptive field of output position (i, j),
+    zero-filled where the field extends past the frame."""
+    x = ensure_feature_map(x, channels=spec.in_channels)
+    h, w = x.shape[1], x.shape[2]
+    out_h, out_w = spec.out_shape(h, w)
+    if not (0 <= i < out_h and 0 <= j < out_w):
+        raise ValueError(f"position ({i}, {j}) outside output grid {out_h}x{out_w}")
+    k, s, p = spec.kernel_size, spec.stride, spec.padding
+    return read_block_at(x, i * s - p, j * s - p, k)
+
+
+def read_block_at(x: np.ndarray, y0: int, x0: int, k: int) -> np.ndarray:
+    """Read a (C, k, k) window anchored at input pixel (y0, x0), zero-padded."""
+    c, h, w = x.shape
+    block = np.zeros((c, k, k), dtype=np.float32)
+    y_lo, y_hi = max(0, y0), min(h, y0 + k)
+    x_lo, x_hi = max(0, x0), min(w, x0 + k)
+    if y_lo < y_hi and x_lo < x_hi:
+        block[:, y_lo - y0 : y_hi - y0, x_lo - x0 : x_hi - x0] = x[:, y_lo:y_hi, x_lo:x_hi]
+    return block
+
+
+def conv_sparse_block(
+    block: SparseBlock, spec: ConvSpec, ledger: FlopsLedger | None
+) -> np.ndarray:
+    """Convolve one sparse residual block: out[o] = sum over entries of
+    weights[o, c, dy, dx] * value. No bias (the predicted output already
+    carries it). Charges 2 * nnz * C_out; an empty block charges nothing.
+    """
+    k = spec.kernel_size
+    if block.nnz == 0:
+        return np.zeros(spec.out_channels, dtype=np.float32)
+    if (
+        (block.channels < 0).any()
+        or (block.channels >= spec.in_channels).any()
+        or (block.dys < 0).any()
+        or (block.dys >= k).any()
+        or (block.dxs < 0).any()
+        or (block.dxs >= k).any()
+    ):
+        raise ValueError(
+            f"sparse block at position {block.anchor} has entries outside "
+            f"kernel bounds (k={k}, C_in={spec.in_channels})"
+        )
+    gathered = spec.weights[:, block.channels, block.dys, block.dxs]  # (C_out, nnz)
+    out = gathered @ block.values
+    if ledger is not None:
+        ledger.charge("res", 2 * block.nnz * spec.out_channels)
+    return out.astype(np.float32, copy=False)
+
+
+def _candidate_offsets(search_range):
+    offsets = [(0, 0)]
+    for dy in range(-search_range, search_range + 1):
+        for dx in range(-search_range, search_range + 1):
+            if (dy, dx) != (0, 0):
+                offsets.append((dy, dx))
+    return offsets
+
+
+def loop_search(cur, ref, spec, params, ledger=None):
+    """Position-by-position candidate loop with the search's decision rules:
+    (0, 0) first then raster order, strict SAD improvement, early stop on
+    the best candidate's kept count, match when that count stays within
+    ``match_max_density``. Returns per-position arrays
+    ``(mv_dy, mv_dx, matched, sad, blocks)`` where ``blocks[i][j]`` is the
+    winning candidate's ``SparseBlock``."""
+    out_h, out_w = spec.out_shape(cur.shape[1], cur.shape[2])
+    k, s, p = spec.kernel_size, spec.stride, spec.padding
+    bsz = spec.block_size
+    mv_dy = np.zeros((out_h, out_w), dtype=np.int32)
+    mv_dx = np.zeros((out_h, out_w), dtype=np.int32)
+    matched = np.zeros((out_h, out_w), dtype=bool)
+    sad_arr = np.zeros((out_h, out_w), dtype=np.float64)
+    blocks = [[None] * out_w for _ in range(out_h)]
+    for i in range(out_h):
+        for j in range(out_w):
+            cur_blk = extract_block(cur, spec, i, j)
+            best = None
+            for qy, qx in _candidate_offsets(params.search_range):
+                ref_blk = read_block_at(ref, i * s - p + qy * s, j * s - p + qx * s, k)
+                cost = sad(cur_blk, ref_blk, ledger)
+                if best is None or cost < best[0]:
+                    blk = threshold_residual(cur_blk, ref_blk, params.threshold, anchor=(i, j))
+                    best = (cost, qy, qx, blk)
+                    if params.early_stop_enabled and blk.nnz <= params.early_stop_density * bsz:
+                        break
+            cost, qy, qx, blk = best
+            mv_dy[i, j], mv_dx[i, j] = qy * s, qx * s
+            sad_arr[i, j] = cost
+            matched[i, j] = blk.nnz <= params.match_max_density * bsz
+            blocks[i][j] = blk
+    return mv_dy, mv_dx, matched, sad_arr, blocks
+
+
+def loop_forward_nonkey(layer_spec, ref_input, ref_output, x, mv_dy, mv_dx, matched, tau,
+                        post_scale=None, post_shift=None, ledger=None):
+    """Pre-activation non-key output, one position at a time. A matched
+    position whose vector-displaced source stays on the output grid copies
+    ``ref_output`` there and adds ``conv_sparse_block`` of its thresholded
+    residual (scaled by ``post_scale``); every other position is the dense
+    dot product with bias, scale and shift. Charges res and unmatched work
+    to ``ledger`` as the layer does."""
+    spec = layer_spec
+    c_out, out_h, out_w = ref_output.shape
+    k, s, p = spec.kernel_size, spec.stride, spec.padding
+    scale = np.ones(c_out) if post_scale is None else np.asarray(post_scale, dtype=np.float64)
+    shift = np.zeros(c_out) if post_shift is None else np.asarray(post_shift, dtype=np.float64)
+    bias = np.zeros(c_out) if spec.bias is None else spec.bias.astype(np.float64)
+    w_flat = spec.weights.reshape(c_out, -1).astype(np.float64)
+    out = np.zeros((c_out, out_h, out_w), dtype=np.float64)
+    for i in range(out_h):
+        for j in range(out_w):
+            si, sj = i + int(mv_dy[i, j]) // s, j + int(mv_dx[i, j]) // s
+            cur_blk = extract_block(x, spec, i, j)
+            if matched[i, j] and 0 <= si < out_h and 0 <= sj < out_w:
+                ref_blk = read_block_at(ref_input, i * s - p + int(mv_dy[i, j]),
+                                        j * s - p + int(mv_dx[i, j]), k)
+                blk = threshold_residual(cur_blk, ref_blk, tau, anchor=(i, j))
+                res = conv_sparse_block(blk, spec, ledger).astype(np.float64)
+                out[:, i, j] = ref_output[:, si, sj] + scale * res
+            else:
+                out[:, i, j] = (w_flat @ cur_blk.ravel().astype(np.float64) + bias) * scale + shift
+                if ledger is not None:
+                    ledger.charge("unmatched", 2 * spec.block_size * c_out)
     return out

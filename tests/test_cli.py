@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from motionconv.bayer import load_raw_sequence
 from motionconv.cli import main
@@ -66,6 +67,20 @@ class TestRun:
     def test_missing_scene_file_is_io_error(self, tmp_path):
         assert main(["run", "--scene", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "verify"])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--gop", "0"), ("--tau", "-1"), ("--range", "-1"), ("--beta-max", "2"),
+         ("--early-stop", "2"), ("--gop", "x")],
+    )
+    def test_out_of_domain_flag_is_usage_error(self, tmp_path, capsys, command, flag, value):
+        argv = [command, "--scene", STATIC_SCENE, flag, value, "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            argv += ["--axis", "threshold", "--values", "0,0.1"]
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_resolved_config_recorded(self, tmp_path):
         out = tmp_path / "o"
@@ -171,6 +186,10 @@ class TestSweep:
         assert "reordered" in capsys.readouterr().err
         rows = json.loads((out / "sweep.json").read_text())["rows"]
         assert [r["gop"] for r in rows] == [2, 4]
+
+    def test_out_of_domain_value_is_usage_error(self, tmp_path):
+        assert main(["sweep", "--scene", STATIC_SCENE, "--axis", "gop",
+                     "--values", "0,4", "--out", str(tmp_path / "o")]) == 2
 
     def test_single_value_is_usage_error(self, tmp_path):
         assert main(["sweep", "--scene", STATIC_SCENE, "--axis", "gop",

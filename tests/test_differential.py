@@ -1,0 +1,161 @@
+"""The vectorised residual path against the per-position references.
+
+``search``, ``field_from_vectors`` and ``MotionCompLayer.forward_nonkey``
+work on one dense residual array; ``tests/oracles.py`` keeps the
+one-block-at-a-time kernels they replaced. Random small layer stacks run
+through both. Inputs sit on a 1/256 grid, so every SAD is an exact float64
+sum, ties (which the search breaks by candidate order) are common, and
+differences equal to a threshold on that grid hit its boundary.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from motionconv.layer import MotionCompLayer
+from motionconv.ledger import FlopsLedger
+from motionconv.motion import MotionParams, field_from_vectors, search
+from motionconv.scheduler import GopConfig, Network, run_sequence
+from motionconv.synth import SceneSpec, generate, random_conv_spec
+from motionconv.tensors import ConvSpec
+
+from oracles import extract_block, loop_forward_nonkey, loop_search, read_block_at, threshold_residual
+
+
+@st.composite
+def stacks(draw):
+    """A random layer, a reference frame and a shifted, perturbed current frame."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    k = draw(st.sampled_from([1, 3]))
+    stride = draw(st.sampled_from([1, 2]))
+    c_in = draw(st.integers(1, 3))
+    c_out = draw(st.integers(1, 4))
+    h, w = draw(st.integers(k + 2, 10)), draw(st.integers(k + 2, 10))
+    params = MotionParams(
+        search_range=draw(st.integers(0, 2)),
+        threshold=draw(st.sampled_from([0.0, 0.01, 4 / 256, 16 / 256, 0.2])),
+        early_stop_density=draw(st.sampled_from([-1.0, 0.0, 0.3])),
+        match_max_density=draw(st.sampled_from([0.5, 0.9, 1.0])),
+    )
+    weights = rng.uniform(-0.5, 0.5, size=(c_out, c_in, k, k)).astype(np.float32)
+    bias = rng.uniform(-0.2, 0.2, size=c_out).astype(np.float32)
+    spec = ConvSpec(weights=weights, bias=bias, stride=stride, padding=draw(st.integers(0, k // 2)))
+    ref = (rng.integers(0, 257, size=(c_in, h, w)) / 256).astype(np.float32)
+    cur = np.roll(ref, (rng.integers(-2, 3), rng.integers(-2, 3)), axis=(1, 2))
+    noise = rng.integers(-8, 9, size=cur.shape) * (rng.random(cur.shape) < draw(st.sampled_from([0.0, 0.2, 1.0])))
+    cur = (cur + noise / 256).astype(np.float32)
+    return spec, params, cur, ref, rng
+
+
+def block_row(blk, spec):
+    return blk.densify(spec.in_channels, spec.kernel_size).ravel()
+
+
+@settings(deadline=None, max_examples=100)
+@given(stacks())
+def test_search_matches_per_position_loop(case):
+    spec, params, cur, ref, _ = case
+    led, loop_led = FlopsLedger(), FlopsLedger()
+    field = search(cur, ref, spec, params, led)
+    mv_dy, mv_dx, matched, sad_arr, blocks = loop_search(cur, ref, spec, params, loop_led)
+
+    np.testing.assert_array_equal(field.mv_dy, mv_dy)
+    np.testing.assert_array_equal(field.mv_dx, mv_dx)
+    np.testing.assert_array_equal(field.matched, matched)
+    np.testing.assert_array_equal(field.sad, sad_arr)
+    assert led.me_flops == loop_led.me_flops
+    assert field.residual.dtype == np.float32
+    assert field.residual.shape == (field.positions, spec.block_size)
+    for i in range(field.out_h):
+        for j in range(field.out_w):
+            blk = blocks[i][j]
+            assert field.nnz[i, j] == blk.nnz
+            want = block_row(blk, spec) if matched[i, j] else np.zeros(spec.block_size, np.float32)
+            np.testing.assert_array_equal(field.residual[i * field.out_w + j], want)
+
+
+@settings(deadline=None, max_examples=100)
+@given(stacks())
+def test_field_from_search_vectors_reproduces_search(case):
+    spec, params, cur, ref, _ = case
+    field = search(cur, ref, spec, params, None)
+    rebuilt = field_from_vectors(cur, ref, spec, field.mv_dy, field.mv_dx, field.matched,
+                                 tau=params.threshold)
+    np.testing.assert_array_equal(rebuilt.residual, field.residual)
+    np.testing.assert_array_equal(rebuilt.nnz[field.matched], field.nnz[field.matched])
+    np.testing.assert_array_equal(rebuilt.sad[field.matched], field.sad[field.matched])
+    assert rebuilt.alpha == field.alpha
+    assert rebuilt.beta == field.beta
+
+
+@settings(deadline=None, max_examples=40)
+@given(stacks(), st.integers(1, 12))
+def test_field_from_far_vectors_matches_block_reads(case, reach):
+    # vectors far beyond the frame read zeros, as read_block_at does
+    spec, params, cur, ref, rng = case
+    out_h, out_w = spec.out_shape(cur.shape[1], cur.shape[2])
+    s, p, k = spec.stride, spec.padding, spec.kernel_size
+    mv_dy = rng.integers(-reach, reach + 1, size=(out_h, out_w)).astype(np.int32) * s
+    mv_dx = rng.integers(-reach, reach + 1, size=(out_h, out_w)).astype(np.int32) * s
+    matched = rng.random((out_h, out_w)) < 0.8
+    field = field_from_vectors(cur, ref, spec, mv_dy, mv_dx, matched, tau=params.threshold)
+    for i in range(out_h):
+        for j in range(out_w):
+            row = field.residual[i * out_w + j]
+            if not matched[i, j]:
+                assert not row.any() and field.nnz[i, j] == 0
+                continue
+            ref_blk = read_block_at(ref, i * s - p + int(mv_dy[i, j]), j * s - p + int(mv_dx[i, j]), k)
+            blk = threshold_residual(extract_block(cur, spec, i, j), ref_blk, params.threshold)
+            np.testing.assert_array_equal(row, block_row(blk, spec))
+            assert field.nnz[i, j] == blk.nnz
+
+
+@settings(deadline=None, max_examples=100)
+@given(stacks(), st.booleans())
+def test_forward_nonkey_matches_per_position_sparse_conv(case, affine):
+    spec, params, cur, ref, rng = case
+    c_out = spec.out_channels
+    scale = rng.uniform(0.5, 1.5, c_out) if affine else None
+    shift = rng.uniform(-0.3, 0.3, c_out) if affine else None
+    layer = MotionCompLayer(spec, params, post_scale=scale, post_shift=shift)
+    layer.forward_key(ref, FlopsLedger())
+    ref_output = layer.cache.prev_output.copy()
+    led = FlopsLedger()
+    out = layer.forward_nonkey(cur, led)
+
+    field = search(cur, ref, spec, params, None)
+    loop_led = FlopsLedger()
+    want = loop_forward_nonkey(spec, ref, ref_output, cur, field.mv_dy, field.mv_dx, field.matched,
+                               params.threshold, layer.post_scale, layer.post_shift, loop_led)
+    np.testing.assert_allclose(out, want, atol=1e-5, rtol=0)
+    assert led.res_flops == loop_led.res_flops
+    assert led.unmatched_flops == loop_led.unmatched_flops
+    assert layer.last_stats.nnz_total * 2 * c_out == loop_led.res_flops
+
+
+def test_ledger_counts_pinned_on_seeded_sequence():
+    # counts recorded from the per-position SparseBlock pipeline this
+    # representation replaced; the ledger must not move
+    rng = np.random.default_rng(2024)
+    params = MotionParams(search_range=1, threshold=0.01)
+    net = Network([
+        MotionCompLayer(random_conv_spec(rng, 3, 8, 3, 1), params, activation="relu"),
+        MotionCompLayer(random_conv_spec(rng, 8, 8, 3, 2), params, activation="relu",
+                        post_scale=rng.uniform(0.5, 1.5, 8)),
+        MotionCompLayer(random_conv_spec(rng, 8, 16, 3, 1), params.updated(match_max_density=0.5)),
+    ])
+    frames = generate(SceneSpec(kind="noise_mix", height=24, width=24, channels=3, frame_count=6,
+                                seed=7, motion=(1, 0), noise_amplitude=0.02))
+    result = run_sequence(net, frames, GopConfig(gop_length=6))
+    assert result.ledger.counts() == {
+        "key": 746496, "me": 2490318, "res": 979104, "unmatched": 1386864, "total": 5602782,
+    }
+    assert result.ledger.pred_bytes_moved == 121696
+    assert [(r.matched, r.demoted, r.nnz_total) for r in result.records if not r.is_key] == [
+        (549, 27, 7944), (139, 5, 2534), (31, 0, 1024),
+        (554, 22, 7827), (132, 12, 2382), (20, 12, 665),
+        (573, 3, 8062), (140, 4, 2671), (23, 10, 734),
+        (576, 0, 7931), (140, 4, 2704), (24, 10, 748),
+        (575, 1, 7994), (143, 1, 2567), (43, 0, 1118),
+    ]

@@ -79,6 +79,30 @@ class TestResetAndCacheContract:
         with pytest.raises(LayerError, match="differs"):
             layer.forward_nonkey(rng.random((3, 8, 9), dtype=np.float32), FlopsLedger())
 
+    def _layer_and_field(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = make_spec(rng)
+        x0 = rng.random((3, 8, 8), dtype=np.float32)
+        x1 = rng.random((3, 8, 8), dtype=np.float32)
+        layer = MotionCompLayer(spec, lossless_params())
+        layer.forward_key(x0, FlopsLedger())
+        out_h, out_w = spec.out_shape(8, 8)
+        zeros = np.zeros((out_h, out_w), dtype=np.int32)
+        field = field_from_vectors(x1, x0, spec, zeros, zeros, np.ones((out_h, out_w), bool))
+        return layer, field, x1
+
+    def test_external_field_without_residual_rejected(self):
+        layer, field, x1 = self._layer_and_field(40)
+        del field.residual
+        with pytest.raises(LayerError, match="no residual"):
+            layer.forward_nonkey(x1, FlopsLedger(), field=field)
+
+    def test_external_field_residual_shape_rejected(self):
+        layer, field, x1 = self._layer_and_field(41)
+        field.residual = field.residual[:, :-1]
+        with pytest.raises(LayerError, match="residual has shape"):
+            layer.forward_nonkey(x1, FlopsLedger(), field=field)
+
 
 class TestForwardNonKey:
     def test_static_input_returns_cached_output_exactly(self):

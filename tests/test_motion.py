@@ -6,17 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionconv.ledger import FlopsLedger
-from motionconv.motion import (
-    MotionParams,
-    field_from_vectors,
-    sad,
-    search,
-    threshold_residual,
-)
+from motionconv.motion import MotionParams, field_from_vectors, search
 from motionconv.synth import SceneSpec, expected_motion, generate
-from motionconv.tensors import ConvSpec, extract_block, read_block_at
+from motionconv.tensors import ConvSpec
 
-from oracles import naive_sad
+from oracles import extract_block, naive_sad, read_block_at, sad, threshold_residual
 
 
 def make_spec(rng, c_in=3, c_out=4, k=3, stride=1, padding=1):
@@ -109,7 +103,7 @@ class TestSearch:
         assert field.beta == 0.0
         assert field.matched.all()
         assert (field.mv_dy == 0).all() and (field.mv_dx == 0).all()
-        assert all(blk.nnz == 0 for blk in field.residuals.values())
+        assert not field.residual.any()
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_translation_recovered_at_interior(self, stride):
@@ -134,7 +128,7 @@ class TestSearch:
         assert (field.mv_dx[mask] == stride).all()
         assert (field.mv_dy[mask] == 0).all()
         for i, j in zip(*np.nonzero(mask)):
-            assert field.residuals[(int(i), int(j))].nnz == 0
+            assert field.nnz[i, j] == 0
 
     def test_range_zero_single_candidate(self):
         rng = np.random.default_rng(5)
@@ -303,4 +297,4 @@ class TestFieldFromVectors:
         zeros = np.zeros((out_h, out_w), dtype=np.int32)
         field = field_from_vectors(x, x.copy(), spec, zeros, zeros, np.ones((out_h, out_w), bool))
         assert field.alpha == 1.0 and field.beta == 0.0
-        assert all(blk.nnz == 0 for blk in field.residuals.values())
+        assert not field.residual.any()

@@ -152,3 +152,11 @@ class TestRunSequence:
         key_records = [r for r in result.records if r.is_key]
         assert all(r.flops["me"] == 0 for r in key_records)
         assert all(r.alpha is None for r in key_records)
+
+    def test_caches_released_on_return(self):
+        # every run starts with a key frame, so nothing may outlive the run
+        net = make_net(seed=12)
+        frames = generate(SceneSpec(kind="noise_mix", height=10, width=10, channels=3,
+                                    frame_count=4, seed=13, motion=(1, 0)))
+        run_sequence(net, frames, GopConfig(gop_length=4))
+        assert all(layer.cache is None and layer.last_stats is None for layer in net.layers)

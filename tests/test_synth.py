@@ -113,10 +113,7 @@ class TestExpectedMotion:
                 assert field.matched[mask].all()
                 np.testing.assert_array_equal(field.mv_dx[mask], exp_dx[mask])
                 np.testing.assert_array_equal(field.mv_dy[mask], exp_dy[mask])
-                assert all(
-                    field.residuals[(int(i), int(j))].nnz == 0
-                    for i, j in zip(*np.nonzero(mask))
-                )
+                assert all(field.nnz[i, j] == 0 for i, j in zip(*np.nonzero(mask)))
 
     def test_block_motion_ground_truth(self):
         scene = SceneSpec(kind="block_translate", height=24, width=24, channels=2,

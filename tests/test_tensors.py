@@ -4,17 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionconv.ledger import FlopsLedger
-from motionconv.tensors import (
-    ConvSpec,
+from motionconv.tensors import ConvSpec, conv2d, load_weights, save_weights
+
+from oracles import (
     SparseBlock,
-    conv2d,
     conv_sparse_block,
     extract_block,
-    load_weights,
-    save_weights,
+    naive_conv2d,
+    naive_extract_block,
+    naive_sparse_conv,
 )
-
-from oracles import naive_conv2d, naive_extract_block, naive_sparse_conv
 
 
 def make_spec(rng, c_in, c_out, k, stride=1, padding=0, bias=True):
