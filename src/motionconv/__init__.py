@@ -18,7 +18,7 @@ from .analysis import (
 from .bayer import BayerFrame, load_raw_sequence, mosaic, pack, save_raw_sequence, unpack
 from .layer import LayerCache, MotionCompLayer
 from .ledger import FlopsLedger
-from .motion import MotionField, MotionParams, MotionVector, field_from_vectors, search
+from .motion import MotionField, MotionParams, field_from_vectors, search
 from .scheduler import GopConfig, Network, RunResult, run_sequence, segment
 from .synth import SceneSpec, expected_motion, generate, random_conv_spec
 from .tensors import ConvSpec, conv2d, load_weights, save_weights

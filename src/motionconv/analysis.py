@@ -163,10 +163,14 @@ def build_report(result: RunResult, config: dict) -> dict:
     records = result.records
     n_layers = 1 + max(r.layer for r in records)
     n_frames = 1 + max(r.frame for r in records)
+    by_layer: list[list[LayerFrameRecord]] = [[] for _ in range(n_layers)]
+    by_frame: list[list[LayerFrameRecord]] = [[] for _ in range(n_frames)]
+    for r in records:
+        by_layer[r.layer].append(r)
+        by_frame[r.frame].append(r)
 
     per_layer = []
-    for li in range(n_layers):
-        recs = [r for r in records if r.layer == li]
+    for li, recs in enumerate(by_layer):
         flops = {cat: sum(r.flops[cat] for r in recs) for cat in ("key", "me", "res", "unmatched")}
         flops["total"] = sum(flops.values())
         alpha, beta = _aggregate_alpha_beta(recs)
@@ -203,8 +207,7 @@ def build_report(result: RunResult, config: dict) -> dict:
         per_layer.append(entry)
 
     per_frame = []
-    for t in range(n_frames):
-        recs = [r for r in records if r.frame == t]
+    for t, recs in enumerate(by_frame):
         flops = {cat: sum(r.flops[cat] for r in recs) for cat in ("key", "me", "res", "unmatched")}
         flops["total"] = sum(flops.values())
         alpha, beta = _aggregate_alpha_beta(recs)

@@ -68,6 +68,7 @@ _TAU = _checked(float, lambda v: v >= 0, "a threshold >= 0")
 _RANGE = _checked(int, lambda v: v >= 0, "a search range >= 0")
 _EARLY_STOP = _checked(float, lambda v: v <= 1, "a density <= 1 (negative disables)")
 _DENSITY = _checked(float, lambda v: 0 <= v <= 1, "a density in [0, 1]")
+_BIT_DEPTH = _checked(int, lambda v: 8 <= v <= 16, "a bit depth in [8, 16]")
 
 
 def _load_scene(arg: str, seed: int) -> SceneSpec:
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--scene", required=True, help="scene spec: JSON file path or inline JSON")
     p_synth.add_argument("--out", required=True, help="output raw file path")
     p_synth.add_argument("--pattern", default="RGGB")
-    p_synth.add_argument("--bit-depth", type=int, default=8, dest="bit_depth")
+    p_synth.add_argument("--bit-depth", type=_BIT_DEPTH, default=8, dest="bit_depth")
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.set_defaults(func=cmd_synth)
     return parser

@@ -2,17 +2,20 @@
 
 Every output position owns one block the size of the kernel's receptive
 field. Candidates are stride-aligned offsets within the search range,
-scored by SAD against the reference frame; the winning block's
-thresholded difference becomes that position's row of one dense residual
-array. Matches whose residual stays too dense are handed back to the
-dense fallback path.
+and the search loop only scores them by SAD against the reference frame.
+One builder then turns per-position vectors into a ``MotionField``: it
+gathers each position's reference block, thresholds the difference into
+that position's row of one dense residual array, and records the SAD and
+kept count of every position. ``search`` feeds it the winners and
+``field_from_vectors`` externally chosen vectors. Matches whose residual
+stays too dense are handed back to the dense fallback path.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
@@ -54,15 +57,6 @@ class MotionParams:
         return replace(self, **changes)
 
 
-@dataclass(frozen=True)
-class MotionVector:
-    """Displacement from a current block to its reference match, in input
-    pixels; always a multiple of the layer stride."""
-
-    dx: int
-    dy: int
-
-
 @dataclass
 class MotionField:
     """Per-position search outcome for one frame at one layer.
@@ -86,22 +80,17 @@ class MotionField:
     sad: np.ndarray
     nnz: np.ndarray
     residual: np.ndarray
-    alpha: float = 0.0
-    beta: float = 0.0
 
     @property
     def positions(self) -> int:
         return self.out_h * self.out_w
 
-    def mv(self, i: int, j: int) -> MotionVector:
-        if not self.matched[i, j]:
-            raise ValueError(f"position ({i}, {j}) is unmatched and carries no motion vector")
-        return MotionVector(dx=int(self.mv_dx[i, j]), dy=int(self.mv_dy[i, j]))
-
-    def recompute_alpha(self) -> float:
+    @property
+    def alpha(self) -> float:
         return float(np.count_nonzero(self.matched)) / self.positions
 
-    def recompute_beta(self) -> float:
+    @property
+    def beta(self) -> float:
         m = int(np.count_nonzero(self.matched))
         if m == 0:
             return 0.0
@@ -146,12 +135,60 @@ def _candidate_offsets(search_range: int) -> list[tuple[int, int]]:
     return offsets
 
 
-def _thresholded(diff: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Residual rows of ``diff`` keeping entries with magnitude >= tau, and
-    the kept count per row. Boundary values are kept; zero differences
-    never count, so tau=0 keeps exactly the nonzero differences."""
-    keep = (np.abs(diff) >= tau) & (diff != 0)
-    return np.where(keep, diff, np.float32(0)), np.count_nonzero(keep, axis=1)
+def _kept(diff: np.ndarray, tau: float) -> np.ndarray:
+    """Entries of ``diff`` a residual keeps: magnitude >= tau, boundary
+    values included. Zero differences never count, so tau=0 keeps exactly
+    the nonzero differences."""
+    return (np.abs(diff) >= tau) & (diff != 0)
+
+
+def _inputs(cur_input: FeatureMap, ref_input: FeatureMap, spec: ConvSpec):
+    """Validated current and reference maps and the output grid shape."""
+    cur = ensure_feature_map(cur_input, channels=spec.in_channels, name="current input")
+    ref = ensure_feature_map(ref_input, channels=spec.in_channels, name="reference input")
+    if cur.shape != ref.shape:
+        raise ValueError(f"current/reference shapes differ: {cur.shape} vs {ref.shape}")
+    return cur, ref, spec.out_shape(cur.shape[1], cur.shape[2])
+
+
+def _build_field(
+    spec: ConvSpec,
+    cur_blocks: np.ndarray,
+    ext: np.ndarray,
+    steps_y: np.ndarray,
+    steps_x: np.ndarray,
+    tau: float,
+    match: Callable[[np.ndarray], np.ndarray],
+) -> MotionField:
+    """The MotionField of per-position vectors given in grid steps.
+
+    ``cur_blocks`` is the current frame's ``(n, block_size)`` gather and
+    ``ext`` the reference gather with ``e`` extra grid steps on every side;
+    sources beyond that margin are clipped onto it. ``match`` maps the kept
+    count of every position to its match flag. Every position gets its SAD
+    and kept count; residual rows of unmatched positions stay zero.
+    """
+    out_h, out_w = steps_y.shape
+    e = (ext.shape[0] - out_h) // 2
+    src_i = np.clip(np.arange(out_h)[:, None] + steps_y, -e, out_h - 1 + e) + e
+    src_j = np.clip(np.arange(out_w)[None, :] + steps_x, -e, out_w - 1 + e) + e
+    diff = cur_blocks - ext[src_i, src_j].reshape(cur_blocks.shape)
+    keep = _kept(diff, tau)
+    nnz = np.count_nonzero(keep, axis=1)
+    matched = np.array(match(nnz), dtype=bool).reshape(out_h, out_w)
+    s = spec.stride
+    return MotionField(
+        out_h=out_h,
+        out_w=out_w,
+        block_size=spec.block_size,
+        stride=s,
+        matched=matched,
+        mv_dy=steps_y * s,
+        mv_dx=steps_x * s,
+        sad=np.sum(np.abs(diff), axis=1, dtype=np.float64).reshape(out_h, out_w),
+        nnz=nnz.astype(np.int32).reshape(out_h, out_w),
+        residual=np.where(keep & matched.reshape(-1, 1), diff, np.float32(0)),
+    )
 
 
 def search(
@@ -164,19 +201,17 @@ def search(
     """Full search over stride-aligned candidates for every output position.
 
     Candidates are enumerated with (0, 0) first, then raster order; each
-    evaluated SAD charges 2 k^2 C_in. After a candidate becomes the best so
-    far, its thresholded residual density is checked against the early-stop
-    trigger. The winner is the minimum-SAD candidate among those evaluated
-    (ties keep the earlier candidate); a position is matched when the
+    evaluated SAD charges 2 k^2 C_in. The candidate loop only scores: it
+    keeps each position's best SAD and winning candidate, and, with early
+    stopping on, counts the kept entries of every candidate that becomes
+    the best so far and retires the position once that count is at or
+    below the early-stop trigger. The winner is the minimum-SAD candidate
+    among those evaluated (ties keep the earlier candidate); its residual
+    is built once, after the loop, and a position is matched when the
     winning density does not exceed ``match_max_density``. Candidate reads
     beyond the reference frame see zeros.
     """
-    cur = ensure_feature_map(cur_input, channels=spec.in_channels, name="current input")
-    ref = ensure_feature_map(ref_input, channels=spec.in_channels, name="reference input")
-    if cur.shape != ref.shape:
-        raise ValueError(f"current/reference shapes differ: {cur.shape} vs {ref.shape}")
-    h, w = cur.shape[1], cur.shape[2]
-    out_h, out_w = spec.out_shape(h, w)
+    cur, ref, (out_h, out_w) = _inputs(cur_input, ref_input, spec)
     n = out_h * out_w
     k, s, p = spec.kernel_size, spec.stride, spec.padding
     bsz = spec.block_size
@@ -192,12 +227,10 @@ def search(
     pos_j = np.tile(np.arange(out_w), out_h)
 
     best_sad = np.full(n, np.inf, dtype=np.float64)
-    best_cand = np.full(n, -1, dtype=np.int32)
-    best_nnz = np.zeros(n, dtype=np.int64)
-    residual = np.zeros((n, bsz), dtype=np.float32)
+    best_cand = np.zeros(n, dtype=np.int32)
     active = np.ones(n, dtype=bool)
 
-    offsets = _candidate_offsets(r)
+    offsets = np.array(_candidate_offsets(r), dtype=np.int32)
     for ci, (qy, qx) in enumerate(offsets):
         idx = np.flatnonzero(active)
         if idx.size == 0:
@@ -208,39 +241,18 @@ def search(
         if ledger is not None:
             ledger.charge("me", 2 * bsz * idx.size)
         improved = sad_vals < best_sad[idx]
-        if improved.any():
-            imp = idx[improved]
-            best_sad[imp] = sad_vals[improved]
-            best_cand[imp] = ci
-            residual[imp], best_nnz[imp] = _thresholded(diff[improved], tau)
-            if params.early_stop_enabled:
-                stop = best_nnz[imp] <= params.early_stop_density * bsz
-                active[imp[stop]] = False
+        imp = idx[improved]
+        best_sad[imp] = sad_vals[improved]
+        best_cand[imp] = ci
+        if params.early_stop_enabled:
+            kept = np.count_nonzero(_kept(diff[improved], tau), axis=1)
+            active[imp[kept <= params.early_stop_density * bsz]] = False
 
-    matched_flat = best_nnz <= params.match_max_density * bsz
-    residual[~matched_flat] = 0
-    mv_dy = (np.array([o[0] for o in offsets], dtype=np.int32)[best_cand] * s).reshape(
-        out_h, out_w
+    steps = offsets[best_cand].reshape(out_h, out_w, 2)
+    max_nnz = params.match_max_density * bsz
+    return _build_field(
+        spec, cur_blocks, ext, steps[..., 0], steps[..., 1], tau, lambda nnz: nnz <= max_nnz
     )
-    mv_dx = (np.array([o[1] for o in offsets], dtype=np.int32)[best_cand] * s).reshape(
-        out_h, out_w
-    )
-
-    fld = MotionField(
-        out_h=out_h,
-        out_w=out_w,
-        block_size=bsz,
-        stride=s,
-        matched=matched_flat.reshape(out_h, out_w),
-        mv_dy=mv_dy,
-        mv_dx=mv_dx,
-        sad=best_sad.reshape(out_h, out_w),
-        nnz=best_nnz.astype(np.int32).reshape(out_h, out_w),
-        residual=residual,
-    )
-    fld.alpha = fld.recompute_alpha()
-    fld.beta = fld.recompute_beta()
-    return fld
 
 
 def field_from_vectors(
@@ -256,56 +268,26 @@ def field_from_vectors(
 
     Residuals are recomputed from the inputs so the field stays consistent
     with the frames; reconstruction from any such field is exact at tau=0
-    regardless of vector quality. Vectors must be stride multiples.
+    regardless of vector quality. Vectors must be stride multiples. Every
+    position, matched or not, gets the SAD and kept count of its vector;
+    residual rows of unmatched positions are zero.
     """
-    cur = ensure_feature_map(cur_input, channels=spec.in_channels, name="current input")
-    ref = ensure_feature_map(ref_input, channels=spec.in_channels, name="reference input")
-    if cur.shape != ref.shape:
-        raise ValueError(f"current/reference shapes differ: {cur.shape} vs {ref.shape}")
-    out_h, out_w = spec.out_shape(cur.shape[1], cur.shape[2])
+    cur, ref, (out_h, out_w) = _inputs(cur_input, ref_input, spec)
     mv_dy = np.asarray(mv_dy, dtype=np.int32)
     mv_dx = np.asarray(mv_dx, dtype=np.int32)
     matched = np.asarray(matched, dtype=bool)
     if mv_dy.shape != (out_h, out_w) or mv_dx.shape != (out_h, out_w) or matched.shape != (out_h, out_w):
         raise ValueError(f"field arrays must have shape {(out_h, out_w)}")
-    s = spec.stride
+    k, s, p = spec.kernel_size, spec.stride, spec.padding
     if ((mv_dy % s) != 0).any() or ((mv_dx % s) != 0).any():
         raise ValueError("motion vectors must be integer multiples of the stride")
     if tau < 0:
         raise ValueError(f"threshold must be >= 0, got {tau}")
-    k, p = spec.kernel_size, spec.padding
-    n, bsz = out_h * out_w, spec.block_size
 
     # Sources more than ceil((k + s) / s) grid steps outside the grid read
     # only zeros, as that step itself does, so the gather is clipped there.
     steps_y, steps_x = mv_dy // s, mv_dx // s
-    reach = max(np.abs(steps_y[matched]).max(initial=0), np.abs(steps_x[matched]).max(initial=0))
-    e = min(int(reach), -(-(k + s) // s))
-    src_i = np.clip(np.arange(out_h)[:, None] + steps_y, -e, out_h - 1 + e) + e
-    src_j = np.clip(np.arange(out_w)[None, :] + steps_x, -e, out_w - 1 + e) + e
-    rows = np.flatnonzero(matched)
-    ref_rows = (src_i * (out_w + 2 * e) + src_j).ravel()[rows]
-    ext = unfold_blocks(ref, k, s, p, extra_steps=e).reshape(-1, bsz)
-    diff = unfold_blocks(cur, k, s, p).reshape(n, bsz)[rows] - ext[ref_rows]
-
-    residual = np.zeros((n, bsz), dtype=np.float32)
-    nnz = np.zeros(n, dtype=np.int32)
-    sad_arr = np.zeros(n, dtype=np.float64)
-    residual[rows], nnz[rows] = _thresholded(diff, tau)
-    sad_arr[rows] = np.sum(np.abs(diff), axis=1, dtype=np.float64)
-
-    fld = MotionField(
-        out_h=out_h,
-        out_w=out_w,
-        block_size=bsz,
-        stride=s,
-        matched=matched.copy(),
-        mv_dy=mv_dy.copy(),
-        mv_dx=mv_dx.copy(),
-        sad=sad_arr.reshape(out_h, out_w),
-        nnz=nnz.reshape(out_h, out_w),
-        residual=residual,
-    )
-    fld.alpha = fld.recompute_alpha()
-    fld.beta = fld.recompute_beta()
-    return fld
+    e = min(int(max(np.abs(steps_y).max(), np.abs(steps_x).max())), -(-(k + s) // s))
+    cur_blocks = unfold_blocks(cur, k, s, p).reshape(out_h * out_w, spec.block_size)
+    ext = unfold_blocks(ref, k, s, p, extra_steps=e)
+    return _build_field(spec, cur_blocks, ext, steps_y, steps_x, tau, lambda nnz: matched)

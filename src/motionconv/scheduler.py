@@ -18,18 +18,16 @@ import numpy as np
 
 from .ledger import FlopsLedger
 from .layer import MotionCompLayer
-from .motion import MotionParams
 from .tensors import FeatureMap, ensure_feature_map
 
 
 @dataclass(frozen=True)
 class GopConfig:
     """Sequence-level controls. ``gop_length=1`` degenerates to all-key
-    processing. ``motion`` overrides layer search params: one value for all
-    layers or one per layer. ``oracle`` doubles compute for error stats."""
+    processing. ``oracle`` doubles compute for error stats. Search params
+    belong to each layer (``MotionCompLayer.params``)."""
 
     gop_length: int = 12
-    motion: MotionParams | Sequence[MotionParams] | None = None
     oracle: bool = False
 
     def __post_init__(self):
@@ -136,25 +134,9 @@ class RunResult:
     oracle_mean_abs: Optional[list[float]] = None
 
 
-def _apply_motion_overrides(net: Network, config: GopConfig) -> None:
-    if config.motion is None:
-        return
-    if isinstance(config.motion, MotionParams):
-        for layer in net.layers:
-            layer.params = config.motion
-        return
-    if len(config.motion) != len(net.layers):
-        raise ValueError(
-            f"{len(config.motion)} motion param blocks for {len(net.layers)} layers"
-        )
-    for layer, mp in zip(net.layers, config.motion):
-        layer.params = mp
-
-
 def run_sequence(net: Network, frames: Iterable[FeatureMap], config: GopConfig) -> RunResult:
     """Process frames in order, returning outputs, exact ledgers per
     frame/layer, and (in oracle mode) per-frame output deviation."""
-    _apply_motion_overrides(net, config)
     ledger = FlopsLedger()
     records: list[LayerFrameRecord] = []
     outputs: list[np.ndarray] = []

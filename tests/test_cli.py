@@ -268,6 +268,15 @@ class TestSynth:
         assert code == 0
         assert read_report(out)["per_layer"][0]["in_channels"] == 1
 
+    @pytest.mark.parametrize("value", ["20", "7", "x"])
+    def test_out_of_domain_bit_depth_is_usage_error(self, tmp_path, capsys, value):
+        scene = json.dumps({"kind": "static", "height": 4, "width": 4,
+                            "channels": 3, "frame_count": 1})
+        out = tmp_path / "x.raw"
+        assert main(["synth", "--scene", scene, "--out", str(out), "--bit-depth", value]) == 2
+        assert "--bit-depth" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_rgb_scene_is_usage_error(self, tmp_path):
         scene = json.dumps({"kind": "static", "height": 4, "width": 4,
                             "channels": 2, "frame_count": 1})

@@ -19,7 +19,9 @@ from motionconv.scheduler import GopConfig, Network, run_sequence
 from motionconv.synth import SceneSpec, generate, random_conv_spec
 from motionconv.tensors import ConvSpec
 
-from oracles import extract_block, loop_forward_nonkey, loop_search, read_block_at, threshold_residual
+from oracles import (
+    extract_block, loop_forward_nonkey, loop_search, read_block_at, sad, threshold_residual,
+)
 
 
 @st.composite
@@ -82,8 +84,8 @@ def test_field_from_search_vectors_reproduces_search(case):
     rebuilt = field_from_vectors(cur, ref, spec, field.mv_dy, field.mv_dx, field.matched,
                                  tau=params.threshold)
     np.testing.assert_array_equal(rebuilt.residual, field.residual)
-    np.testing.assert_array_equal(rebuilt.nnz[field.matched], field.nnz[field.matched])
-    np.testing.assert_array_equal(rebuilt.sad[field.matched], field.sad[field.matched])
+    np.testing.assert_array_equal(rebuilt.nnz, field.nnz)
+    np.testing.assert_array_equal(rebuilt.sad, field.sad)
     assert rebuilt.alpha == field.alpha
     assert rebuilt.beta == field.beta
 
@@ -102,13 +104,15 @@ def test_field_from_far_vectors_matches_block_reads(case, reach):
     for i in range(out_h):
         for j in range(out_w):
             row = field.residual[i * out_w + j]
-            if not matched[i, j]:
-                assert not row.any() and field.nnz[i, j] == 0
-                continue
             ref_blk = read_block_at(ref, i * s - p + int(mv_dy[i, j]), j * s - p + int(mv_dx[i, j]), k)
-            blk = threshold_residual(extract_block(cur, spec, i, j), ref_blk, params.threshold)
-            np.testing.assert_array_equal(row, block_row(blk, spec))
+            cur_blk = extract_block(cur, spec, i, j)
+            blk = threshold_residual(cur_blk, ref_blk, params.threshold)
             assert field.nnz[i, j] == blk.nnz
+            assert field.sad[i, j] == sad(cur_blk, ref_blk, None)
+            if not matched[i, j]:
+                assert not row.any()
+                continue
+            np.testing.assert_array_equal(row, block_row(blk, spec))
 
 
 @settings(deadline=None, max_examples=100)

@@ -178,8 +178,16 @@ class TestSearch:
         scene = generate(SceneSpec(kind="noise_mix", height=14, width=14, channels=3,
                                    frame_count=2, seed=10, noise_amplitude=0.05))
         field = search(scene[1], scene[0], spec, MotionParams(threshold=0.02, match_max_density=0.8), FlopsLedger())
-        assert field.alpha == field.recompute_alpha()
-        assert field.beta == field.recompute_beta()
+        m = int(field.matched.sum())
+        assert 0 < m < field.positions
+        assert field.alpha == m / field.positions
+        assert field.beta == field.nnz[field.matched].sum() / (m * spec.block_size)
+        # the stats follow the arrays, also after a caller edits them
+        field.matched[:] = False
+        assert field.alpha == 0.0 and field.beta == 0.0
+        field.matched[2, 3] = True
+        assert field.alpha == 1 / field.positions
+        assert field.beta == field.nnz[2, 3] / spec.block_size
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
@@ -193,17 +201,6 @@ class TestSearch:
         np.testing.assert_array_equal(f1.mv_dx, f2.mv_dx)
         np.testing.assert_array_equal(f1.sad, f2.sad)
         np.testing.assert_array_equal(f1.nnz, f2.nnz)
-
-    def test_mv_accessor(self):
-        rng = np.random.default_rng(30)
-        spec = make_spec(rng)
-        x = rng.random((3, 8, 8), dtype=np.float32)
-        field = search(x, x.copy(), spec, MotionParams(), FlopsLedger())
-        vec = field.mv(2, 3)
-        assert (vec.dx, vec.dy) == (0, 0)
-        field.matched[2, 3] = False
-        with pytest.raises(ValueError, match="unmatched"):
-            field.mv(2, 3)
 
     def test_emitted_vectors_are_stride_multiples(self):
         rng = np.random.default_rng(12)

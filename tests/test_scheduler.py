@@ -134,14 +134,6 @@ class TestRunSequence:
         result = run_sequence(net, frames, GopConfig(gop_length=6, oracle=True))
         assert result.oracle_max_abs == [0.0] * 6
 
-    def test_motion_override_applies_to_all_layers(self):
-        net = make_net(seed=17)
-        frames = generate(SceneSpec(kind="static", height=10, width=10, channels=3,
-                                    frame_count=2, seed=18))
-        mp = MotionParams(search_range=2, threshold=0.0)
-        run_sequence(net, frames, GopConfig(gop_length=2, motion=mp))
-        assert all(layer.params.search_range == 2 for layer in net.layers)
-
     def test_records_cover_every_frame_layer(self):
         net = make_net(seed=19, depth=2)
         frames = generate(SceneSpec(kind="static", height=10, width=10, channels=3,
