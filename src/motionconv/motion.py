@@ -3,12 +3,18 @@
 Every output position owns one block the size of the kernel's receptive
 field. Candidates are stride-aligned offsets within the search range,
 and the search loop only scores them by SAD against the reference frame.
-One builder then turns per-position vectors into a ``MotionField``: it
-gathers each position's reference block, thresholds the difference into
-that position's row of one dense residual array, and records the SAD and
-kept count of every position. ``search`` feeds it the winners and
-``field_from_vectors`` externally chosen vectors. Matches whose residual
-stays too dense are handed back to the dense fallback path.
+It scores a candidate for all positions at once: one difference of the
+padded frames, cropped to the box of positions still searching, summed
+over each block with a separable box filter (the window-cost aggregation
+of stereo block matching). Box sums add in another order than per-block
+sums, so near-ties are re-decided on per-block sums, and every decision
+is the one per-block sums give. One builder then turns per-position
+vectors into a ``MotionField``: it gathers each position's reference
+block, thresholds the difference into that position's row of one dense
+residual array, and records the SAD and kept count of every position.
+``search`` feeds it the winners and ``field_from_vectors`` externally
+chosen vectors. Matches whose residual stays too dense are handed back
+to the dense fallback path.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .ledger import FlopsLedger
-from .tensors import ConvSpec, FeatureMap, ensure_feature_map, unfold_blocks
+from .tensors import ConvSpec, FeatureMap, ensure_feature_map, unfold_blocks, zero_pad
 
 
 @dataclass(frozen=True)
@@ -135,11 +141,17 @@ def _candidate_offsets(search_range: int) -> list[tuple[int, int]]:
     return offsets
 
 
-def _kept(diff: np.ndarray, tau: float) -> np.ndarray:
-    """Entries of ``diff`` a residual keeps: magnitude >= tau, boundary
-    values included. Zero differences never count, so tau=0 keeps exactly
-    the nonzero differences."""
-    return (np.abs(diff) >= tau) & (diff != 0)
+def _kept(mag: np.ndarray, tau: float) -> np.ndarray:
+    """Entries a residual keeps, given the magnitudes of the differences:
+    magnitude >= tau, boundary values included. Zero differences never
+    count, so tau=0 keeps exactly the nonzero differences."""
+    return (mag >= tau) & (mag != 0)
+
+
+def _row_sad(mag: np.ndarray) -> np.ndarray:
+    """SAD of every row of gathered magnitudes; ``MotionField.sad`` holds
+    this sum."""
+    return np.sum(mag, axis=1, dtype=np.float64)
 
 
 def _inputs(cur_input: FeatureMap, ref_input: FeatureMap, spec: ConvSpec):
@@ -173,7 +185,8 @@ def _build_field(
     src_i = np.clip(np.arange(out_h)[:, None] + steps_y, -e, out_h - 1 + e) + e
     src_j = np.clip(np.arange(out_w)[None, :] + steps_x, -e, out_w - 1 + e) + e
     diff = cur_blocks - ext[src_i, src_j].reshape(cur_blocks.shape)
-    keep = _kept(diff, tau)
+    mag = np.abs(diff)
+    keep = _kept(mag, tau)
     nnz = np.count_nonzero(keep, axis=1)
     matched = np.array(match(nnz), dtype=bool).reshape(out_h, out_w)
     s = spec.stride
@@ -185,10 +198,27 @@ def _build_field(
         matched=matched,
         mv_dy=steps_y * s,
         mv_dx=steps_x * s,
-        sad=np.sum(np.abs(diff), axis=1, dtype=np.float64).reshape(out_h, out_w),
+        sad=_row_sad(mag).reshape(out_h, out_w),
         nnz=nnz.astype(np.int32).reshape(out_h, out_w),
         residual=np.where(keep & matched.reshape(-1, 1), diff, np.float32(0)),
     )
+
+
+# Box SADs within this relative gap of the best so far are re-decided on
+# gathered rows; see ``search``.
+_NEAR_TIE = 1e-9
+
+
+def _box(plane: np.ndarray, k: int, s: int, out_h: int, out_w: int) -> np.ndarray:
+    """Sums over the k x k windows of ``plane`` whose corners lie on the
+    stride-``s`` grid: a k-tap horizontal sum, then a k-tap vertical one."""
+    rows = plane[:, : (out_w - 1) * s + 1 : s].copy()
+    for dx in range(1, k):
+        rows += plane[:, dx : dx + (out_w - 1) * s + 1 : s]
+    out = rows[: (out_h - 1) * s + 1 : s].copy()
+    for dy in range(1, k):
+        out += rows[dy : dy + (out_h - 1) * s + 1 : s]
+    return out
 
 
 def search(
@@ -210,6 +240,26 @@ def search(
     is built once, after the loop, and a position is matched when the
     winning density does not exceed ``match_max_density``. Candidate reads
     beyond the reference frame see zeros.
+
+    Each candidate is scored on whole planes, cropped to the bounding box
+    of the positions still active: one float32 difference of the
+    zero-padded current plane and the shifted reference plane (each
+    element equal to the gathered difference it stands for), its absolute
+    value summed over channels in float64, then a k-tap horizontal and a
+    k-tap vertical box sum at the stride. Kept counts are the same box
+    sums of the per-pixel kept counts, so they are exact.
+
+    The box sums add the block's n = k^2 C_in non-negative terms in another
+    order than the row sum ``MotionField.sad`` reports. Any order of
+    adding them lies within about (n - 1) * 2^-53 of the exact sum,
+    relatively, and gives 0 exactly when every term is 0. Two sums whose
+    row order and box order disagree therefore lie within about
+    4 (n - 1) * 2^-53 of each other, under ``_NEAR_TIE`` for any block of
+    fewer than two million elements. So where a candidate's box SAD is
+    nonzero and within ``_NEAR_TIE`` of the best so far, relatively, both
+    are recomputed as row sums and those are compared. Every comparison,
+    and so every winner, early stop and ledger charge, is the one the row
+    sums give.
     """
     cur, ref, (out_h, out_w) = _inputs(cur_input, ref_input, spec)
     n = out_h * out_w
@@ -222,33 +272,50 @@ def search(
     ext = unfold_blocks(ref, k, s, p, extra_steps=r)
     ext_w = out_w + 2 * r
     ext_flat = ext.reshape(-1, bsz)
+    m = r * s  # the reference plane's margin beyond the current's padding
+    cur_pad, ref_pad = zero_pad(cur, p), zero_pad(ref, p + m)
 
-    pos_i = np.repeat(np.arange(out_h), out_w)
-    pos_j = np.tile(np.arange(out_w), out_h)
-
-    best_sad = np.full(n, np.inf, dtype=np.float64)
-    best_cand = np.zeros(n, dtype=np.int32)
-    active = np.ones(n, dtype=bool)
+    best_sad = np.full((out_h, out_w), np.inf)
+    best_cand = np.zeros((out_h, out_w), dtype=np.int32)
+    active = np.ones((out_h, out_w), dtype=bool)
 
     offsets = np.array(_candidate_offsets(r), dtype=np.int32)
     for ci, (qy, qx) in enumerate(offsets):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        live_i = np.flatnonzero(active.any(axis=1))
+        if live_i.size == 0:
             break
-        ref_rows = (pos_i[idx] + qy + r) * ext_w + (pos_j[idx] + qx + r)
-        diff = cur_blocks[idx] - ext_flat[ref_rows]
-        sad_vals = np.sum(np.abs(diff), axis=1, dtype=np.float64)
+        live_j = np.flatnonzero(active.any(axis=0))
         if ledger is not None:
-            ledger.charge("me", 2 * bsz * idx.size)
-        improved = sad_vals < best_sad[idx]
-        imp = idx[improved]
-        best_sad[imp] = sad_vals[improved]
-        best_cand[imp] = ci
-        if params.early_stop_enabled:
-            kept = np.count_nonzero(_kept(diff[improved], tau), axis=1)
-            active[imp[kept <= params.early_stop_density * bsz]] = False
+            ledger.charge("me", 2 * bsz * int(np.count_nonzero(active)))
+        i0, j0 = int(live_i[0]), int(live_j[0])
+        nh, nw = int(live_i[-1]) + 1 - i0, int(live_j[-1]) + 1 - j0
+        y0, x0 = i0 * s, j0 * s
+        hh, ww = (nh - 1) * s + k, (nw - 1) * s + k
+        ry, rx = y0 + m + int(qy) * s, x0 + m + int(qx) * s
+        mag = np.abs(cur_pad[:, y0 : y0 + hh, x0 : x0 + ww] - ref_pad[:, ry : ry + hh, rx : rx + ww])
+        sad_vals = _box(mag.sum(axis=0, dtype=np.float64), k, s, nh, nw)
 
-    steps = offsets[best_cand].reshape(out_h, out_w, 2)
+        crop = (slice(i0, i0 + nh), slice(j0, j0 + nw))
+        act, best, cand = active[crop], best_sad[crop], best_cand[crop]
+        improved = act & (sad_vals < best)
+        near = act & (np.abs(sad_vals - best) < _NEAR_TIE * sad_vals)
+        if near.any():
+            ni, nj = np.nonzero(near)
+            bq = offsets[cand[near]]
+            ni, nj = ni + i0, nj + j0
+            rows = cur_blocks[ni * out_w + nj]
+
+            def row_sad(dy, dx):
+                return _row_sad(np.abs(rows - ext_flat[(ni + dy + r) * ext_w + nj + dx + r]))
+
+            improved[near] = row_sad(qy, qx) < row_sad(bq[:, 0], bq[:, 1])
+        best[improved] = sad_vals[improved]
+        cand[improved] = ci
+        if params.early_stop_enabled and improved.any():
+            kept = _box(_kept(mag, tau).sum(axis=0, dtype=np.int32), k, s, nh, nw)
+            act[improved & (kept <= params.early_stop_density * bsz)] = False
+
+    steps = offsets[best_cand]
     max_nnz = params.match_max_density * bsz
     return _build_field(
         spec, cur_blocks, ext, steps[..., 0], steps[..., 1], tau, lambda nnz: nnz <= max_nnz

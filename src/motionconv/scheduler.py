@@ -18,7 +18,7 @@ import numpy as np
 
 from .ledger import FlopsLedger
 from .layer import MotionCompLayer
-from .tensors import FeatureMap, ensure_feature_map
+from .tensors import FeatureMap, ensure_feature_map, require_keys
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,10 @@ class Network:
         {...}}, ...]}. Relative weight paths resolve against the JSON file."""
         path = Path(path)
         desc = json.loads(path.read_text())
+        require_keys(desc, ("layers",), f"network description {path}")
         layers = []
-        for entry in desc["layers"]:
+        for i, entry in enumerate(desc["layers"]):
+            require_keys(entry, ("weights",), f"layer {i} of network description {path}")
             weights = Path(entry["weights"])
             if not weights.is_absolute():
                 weights = path.parent / weights

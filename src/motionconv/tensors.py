@@ -103,6 +103,14 @@ class ConvSpec:
         return 2 * self.block_size * self.out_channels * out_h * out_w
 
 
+def zero_pad(x: np.ndarray, pad: int) -> np.ndarray:
+    """``x`` as float32 with ``pad`` zero rows and columns on every side."""
+    c, h, w = x.shape
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+    padded[:, pad : pad + h, pad : pad + w] = x
+    return padded
+
+
 def unfold_blocks(
     x: np.ndarray, kernel_size: int, stride: int, padding: int, extra_steps: int = 0
 ) -> np.ndarray:
@@ -113,11 +121,9 @@ def unfold_blocks(
     side; positions reaching past the frame read zeros. Flat block layout
     is (channel, dy, dx), matching ``weights.reshape(C_out, -1)``.
     """
-    c, h, w = x.shape
-    k, s, e = kernel_size, stride, extra_steps
-    pad = padding + e * s
-    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
-    padded[:, pad : pad + h, pad : pad + w] = x
+    c = x.shape[0]
+    k, s = kernel_size, stride
+    padded = zero_pad(x, padding + extra_steps * s)
     win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
     win = win[:, ::s, ::s]  # (C, grid_h, grid_w, k, k)
     grid_h, grid_w = win.shape[1], win.shape[2]
@@ -172,11 +178,26 @@ def save_weights(spec: ConvSpec, path) -> Path:
     return sidecar_path
 
 
+def require_keys(meta, keys, source: str) -> None:
+    """Raise ``ValueError`` naming ``source`` unless ``meta`` is a JSON
+    object holding every one of ``keys``."""
+    if not isinstance(meta, dict):
+        raise ValueError(f"{source} must be a JSON object, got {type(meta).__name__}")
+    for key in keys:
+        if key not in meta:
+            raise ValueError(f"{source} is missing key {key!r}")
+
+
 def load_weights(path, sidecar=None) -> ConvSpec:
     """Load a ConvSpec written by ``save_weights``."""
     path = Path(path)
     sidecar_path = Path(sidecar) if sidecar is not None else Path(str(path) + ".json")
     meta = json.loads(sidecar_path.read_text())
+    require_keys(
+        meta,
+        ("in_channels", "out_channels", "kernel_size", "stride", "padding", "has_bias"),
+        f"weights sidecar {sidecar_path}",
+    )
     c_out, c_in, k = meta["out_channels"], meta["in_channels"], meta["kernel_size"]
     n_weights = c_out * c_in * k * k
     raw = np.fromfile(path, dtype="<f4")

@@ -6,10 +6,17 @@ one-block-at-a-time kernels they replaced. Random small layer stacks run
 through both. Inputs sit on a 1/256 grid, so every SAD is an exact float64
 sum, ties (which the search breaks by candidate order) are common, and
 differences equal to a threshold on that grid hit its boundary.
+
+``search`` scores candidates with box sums, which add in another order
+than the per-block sum. Two more cases check what the 1/256 grid cannot
+show: mirror-symmetric frames of powers of two, where near-ties round
+differently in the two orders, and early-stopped scenes where only a small
+box of positions stays active.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motionconv.layer import MotionCompLayer
@@ -74,6 +81,82 @@ def test_search_matches_per_position_loop(case):
             assert field.nnz[i, j] == blk.nnz
             want = block_row(blk, spec) if matched[i, j] else np.zeros(spec.block_size, np.float32)
             np.testing.assert_array_equal(field.residual[i * field.out_w + j], want)
+
+
+def mirror_stack(seed):
+    """Frames symmetric about their middle row and column, with values 2^-e
+    for e in [0, 60). At the middle row or column, mirrored candidates see
+    the same absolute differences in permuted order, and sums of such
+    values round, so their SADs tie or nearly tie depending on the order in
+    which they are added."""
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(1, 5))
+    h, w = 2 * int(rng.integers(2, 6)) + 1, 2 * int(rng.integers(2, 6)) + 1
+
+    def symmetric(e):
+        x = 2.0 ** -e
+        x = np.concatenate([x, x[:, :, -2::-1]], axis=2)
+        return np.concatenate([x, x[:, -2::-1, :]], axis=1).astype(np.float32)
+
+    e = rng.integers(0, 60, size=(c, (h + 1) // 2, (w + 1) // 2))
+    ref = symmetric(e)
+    cur = symmetric(np.where(rng.random(e.shape) < 0.5, e, rng.integers(0, 60, size=e.shape)))
+    spec = ConvSpec(weights=np.ones((1, c, 3, 3), np.float32), stride=int(rng.integers(1, 3)),
+                    padding=int(rng.integers(0, 2)))
+    params = MotionParams(
+        search_range=1,
+        threshold=float(rng.choice([0.0, 2.0**-20, 2.0**-8, 0.01])),
+        early_stop_density=float(rng.choice([-1.0, 0.3, 0.6])),
+        match_max_density=0.9,
+    )
+    return cur, ref, spec, params
+
+
+def search_as_loop(cur, ref, spec, params):
+    """Run ``search`` and ``loop_search``, check that vectors, match flags,
+    SAD and me FLOPs agree, and return the field, its me FLOPs and the
+    oracle's blocks."""
+    led, loop_led = FlopsLedger(), FlopsLedger()
+    field = search(cur, ref, spec, params, led)
+    mv_dy, mv_dx, matched, sad_arr, blocks = loop_search(cur, ref, spec, params, loop_led)
+    np.testing.assert_array_equal(field.mv_dy, mv_dy)
+    np.testing.assert_array_equal(field.mv_dx, mv_dx)
+    np.testing.assert_array_equal(field.matched, matched)
+    np.testing.assert_array_equal(field.sad, sad_arr)
+    assert led.me_flops == loop_led.me_flops
+    return field, led.me_flops, blocks
+
+
+# Seeds 63 and 100 pick a different winner than the oracle when box-sum
+# near-ties are decided without recomputing them as block sums.
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2**32 - 1))
+@example(63)
+@example(100)
+def test_search_breaks_near_ties_as_block_sums(seed):
+    search_as_loop(*mirror_stack(seed))
+
+
+@pytest.mark.parametrize("corner", ["top_left", "bottom_right"])
+@pytest.mark.parametrize("stride, padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_search_on_a_small_active_box(corner, stride, padding):
+    # A static frame with one 3x3 block moving one grid step diagonally near
+    # a corner: with early stopping on, every position whose field misses
+    # the block retires after candidate (0, 0). 20 rows make
+    # (h + 2p - k) % 2 = 1.
+    rng = np.random.default_rng(5)
+    c, h, w = 3, 20, 21
+    ref = rng.random((c, h, w)).astype(np.float32)
+    cur = ref.copy()
+    y, x = (1, 1) if corner == "top_left" else (h - 5, w - 5)
+    ref[:, y : y + 3, x : x + 3] += 0.5
+    cur[:, y + stride : y + stride + 3, x + stride : x + stride + 3] = ref[:, y : y + 3, x : x + 3]
+    spec = ConvSpec(weights=np.ones((2, c, 3, 3), np.float32), stride=stride, padding=padding)
+    params = MotionParams(search_range=1, threshold=0.01, early_stop_density=0.3)
+    field, me_flops, blocks = search_as_loop(cur, ref, spec, params)
+    np.testing.assert_array_equal(field.nnz, [[b.nnz for b in row] for row in blocks])
+    # most positions stopped after one candidate, so the box was small
+    assert me_flops < 2 * 2 * spec.block_size * field.positions
 
 
 @settings(deadline=None, max_examples=100)

@@ -65,6 +65,18 @@ class TestNetwork:
         assert net.layers[0].activation == "relu"
         assert net.layers[1].params.search_range == 2
 
+    def test_from_json_without_layers_is_value_error(self, tmp_path):
+        net_path = tmp_path / "net.json"
+        net_path.write_text("{}")
+        with pytest.raises(ValueError, match=f"{net_path}.*'layers'"):
+            Network.from_json(net_path)
+
+    def test_from_json_layer_without_weights_is_value_error(self, tmp_path):
+        net_path = tmp_path / "net.json"
+        net_path.write_text('{"layers": [{}]}')
+        with pytest.raises(ValueError, match=f"layer 0 of .*{net_path}.*'weights'"):
+            Network.from_json(net_path)
+
 
 class TestRunSequence:
     def test_static_pair_second_frame_costs_only_search(self):

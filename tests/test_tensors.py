@@ -266,3 +266,18 @@ class TestWeightsIO:
             fh.write(b"\x00\x00\x00\x00")
         with pytest.raises(ValueError, match="floats"):
             load_weights(path)
+
+    @pytest.mark.parametrize(
+        "key", ["in_channels", "out_channels", "kernel_size", "stride", "padding", "has_bias"]
+    )
+    def test_sidecar_missing_key_is_value_error(self, tmp_path, key):
+        import json
+
+        rng = np.random.default_rng(14)
+        path = tmp_path / "w.bin"
+        sidecar = save_weights(make_spec(rng, 2, 2, 3), path)
+        meta = json.loads(sidecar.read_text())
+        del meta[key]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"{sidecar}.*'{key}'"):
+            load_weights(path)
