@@ -4,10 +4,12 @@ Key frames run the dense convolution and cache both the input and the
 (pre-activation) output. Non-key frames search the cached input, copy
 matched outputs from the cached output map, add the convolution of the
 sparse residual, and fall back to dense per-position convolution where
-no usable match exists. The activation, when configured, is applied after
-reconstruction so the next layer always sees true post-activation
-features; the cache keeps pre-activation values because only those
-decompose linearly.
+no usable match exists; the fallback gathers the receptive fields of
+those positions only. Copies, residual adds and fallback writes index the
+output as ``(C_out, H*W)`` with one raster index per position. The
+activation, when configured, is applied after reconstruction so the next
+layer always sees true post-activation features; the cache keeps
+pre-activation values because only those decompose linearly.
 """
 
 from __future__ import annotations
@@ -224,41 +226,43 @@ class MotionCompLayer:
         demoted = int(np.count_nonzero(field.matched & ~in_grid))
 
         out = np.empty((c_out, out_h, out_w), dtype=np.float32)
+        flat = out.reshape(c_out, -1)
 
-        mi, mj = np.nonzero(served)
+        rows = np.flatnonzero(served)
         nnz_total = 0
-        if mi.size:
-            out[:, mi, mj] = self.cache.prev_output[:, src_i[mi, mj], src_j[mi, mj]]
-            ledger.add_pred_bytes(4 * c_out * mi.size)
+        if rows.size:
+            src = (src_i * out_w + src_j).ravel()[rows]
+            flat[:, rows] = np.take(self.cache.prev_output.reshape(c_out, -1), src, axis=1)
+            ledger.add_pred_bytes(4 * c_out * rows.size)
             if self.compensate:
                 # rows with an empty residual are pure copies
-                rows = mi * out_w + mj
                 row_nnz = field.nnz.ravel()[rows]
-                rows = rows[row_nnz > 0]
+                nz = rows[row_nnz > 0]
                 nnz_total = int(row_nnz.sum())
-                contrib = field.residual[rows] @ spec.weights.reshape(c_out, -1).T
+                contrib = field.residual[nz] @ spec.weights.reshape(c_out, -1).T
                 if self.post_scale is not None:
                     contrib = contrib * self.post_scale
-                out[:, rows // out_w, rows % out_w] += contrib.T
+                flat[:, nz] += contrib.T
                 ledger.charge("res", 2 * nnz_total * c_out)
 
-        ui, uj = np.nonzero(~served)
-        if ui.size:
-            blocks = unfold_blocks(x, spec.kernel_size, s, spec.padding).reshape(-1, bsz)
-            vals = blocks[ui * out_w + uj] @ spec.weights.reshape(c_out, -1).T
+        fallback = np.flatnonzero(~served)
+        if fallback.size:
+            at = np.divmod(fallback, out_w)
+            blocks = unfold_blocks(x, spec.kernel_size, s, spec.padding, at=at)
+            vals = blocks @ spec.weights.reshape(c_out, -1).T
             if spec.bias is not None:
                 vals = vals + spec.bias
             if self.post_scale is not None:
                 vals = vals * self.post_scale
             if self.post_shift is not None:
                 vals = vals + self.post_shift
-            out[:, ui, uj] = vals.T
-            ledger.charge("unmatched", 2 * bsz * c_out * ui.size)
+            flat[:, fallback] = vals.T
+            ledger.charge("unmatched", 2 * bsz * c_out * fallback.size)
 
         self.cache = LayerCache(prev_input=x.copy(), prev_output=out)
         self.last_stats = NonKeyStats(
             positions=out_h * out_w,
-            matched=int(mi.size),
+            matched=int(rows.size),
             demoted=demoted,
             nnz_total=nnz_total,
             block_size=bsz,

@@ -8,13 +8,15 @@ padded frames, cropped to the box of positions still searching, summed
 over each block with a separable box filter (the window-cost aggregation
 of stereo block matching). Box sums add in another order than per-block
 sums, so near-ties are re-decided on per-block sums, and every decision
-is the one per-block sums give. One builder then turns per-position
-vectors into a ``MotionField``: it gathers each position's reference
-block, thresholds the difference into that position's row of one dense
-residual array, and records the SAD and kept count of every position.
-``search`` feeds it the winners and ``field_from_vectors`` externally
-chosen vectors. Matches whose residual stays too dense are handed back
-to the dense fallback path.
+is the one per-block sums give. The reference frame is never gathered
+whole: the near-tie check gathers the rows of its near positions only,
+and one builder turns per-position vectors into a ``MotionField`` by
+gathering each position's reference block once, at its vector. It
+thresholds the difference into that position's row of one dense residual
+array (a multiply by the keep mask, no select) and records the SAD and
+kept count of every position. ``search`` feeds it the winners and
+``field_from_vectors`` externally chosen vectors. Matches whose residual
+stays too dense are handed back to the dense fallback path.
 """
 
 from __future__ import annotations
@@ -149,9 +151,9 @@ def _kept(mag: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _row_sad(mag: np.ndarray) -> np.ndarray:
-    """SAD of every row of gathered magnitudes; ``MotionField.sad`` holds
-    this sum."""
-    return np.sum(mag, axis=1, dtype=np.float64)
+    """SAD of every row (last axis) of gathered magnitudes;
+    ``MotionField.sad`` holds this sum."""
+    return np.sum(mag, axis=-1, dtype=np.float64)
 
 
 def _inputs(cur_input: FeatureMap, ref_input: FeatureMap, spec: ConvSpec):
@@ -166,7 +168,8 @@ def _inputs(cur_input: FeatureMap, ref_input: FeatureMap, spec: ConvSpec):
 def _build_field(
     spec: ConvSpec,
     cur_blocks: np.ndarray,
-    ext: np.ndarray,
+    ref: FeatureMap,
+    e: int,
     steps_y: np.ndarray,
     steps_x: np.ndarray,
     tau: float,
@@ -174,22 +177,25 @@ def _build_field(
 ) -> MotionField:
     """The MotionField of per-position vectors given in grid steps.
 
-    ``cur_blocks`` is the current frame's ``(n, block_size)`` gather and
-    ``ext`` the reference gather with ``e`` extra grid steps on every side;
-    sources beyond that margin are clipped onto it. ``match`` maps the kept
-    count of every position to its match flag. Every position gets its SAD
-    and kept count; residual rows of unmatched positions stay zero.
+    ``cur_blocks`` is the current frame's ``(n, block_size)`` gather. Each
+    position's reference block is gathered once, at its source clipped to
+    ``e`` grid steps beyond the output grid, and subtracted from it.
+    ``match`` maps the kept count of every position to its match flag.
+    Every position gets its SAD and kept count; the residual keeps the
+    kept entries of matched rows and is zero elsewhere (masked entries of
+    negative differences read -0.0, which equals 0).
     """
     out_h, out_w = steps_y.shape
-    e = (ext.shape[0] - out_h) // 2
+    k, s, p = spec.kernel_size, spec.stride, spec.padding
     src_i = np.clip(np.arange(out_h)[:, None] + steps_y, -e, out_h - 1 + e) + e
     src_j = np.clip(np.arange(out_w)[None, :] + steps_x, -e, out_w - 1 + e) + e
-    diff = cur_blocks - ext[src_i, src_j].reshape(cur_blocks.shape)
+    at = (src_i.ravel(), src_j.ravel())
+    diff = cur_blocks - unfold_blocks(ref, k, s, p, extra_steps=e, at=at)
     mag = np.abs(diff)
     keep = _kept(mag, tau)
     nnz = np.count_nonzero(keep, axis=1)
     matched = np.array(match(nnz), dtype=bool).reshape(out_h, out_w)
-    s = spec.stride
+    keep &= matched.reshape(-1, 1)
     return MotionField(
         out_h=out_h,
         out_w=out_w,
@@ -200,7 +206,7 @@ def _build_field(
         mv_dx=steps_x * s,
         sad=_row_sad(mag).reshape(out_h, out_w),
         nnz=nnz.astype(np.int32).reshape(out_h, out_w),
-        residual=np.where(keep & matched.reshape(-1, 1), diff, np.float32(0)),
+        residual=np.multiply(diff, keep, out=diff),
     )
 
 
@@ -237,9 +243,10 @@ def search(
     the best so far and retires the position once that count is at or
     below the early-stop trigger. The winner is the minimum-SAD candidate
     among those evaluated (ties keep the earlier candidate); its residual
-    is built once, after the loop, and a position is matched when the
-    winning density does not exceed ``match_max_density``. Candidate reads
-    beyond the reference frame see zeros.
+    is built once, after the loop, from the current frame's gather and
+    the reference rows at the winning vectors, and a position is matched
+    when the winning density does not exceed ``match_max_density``.
+    Candidate reads beyond the reference frame see zeros.
 
     Each candidate is scored on whole planes, cropped to the bounding box
     of the positions still active: one float32 difference of the
@@ -257,9 +264,9 @@ def search(
     4 (n - 1) * 2^-53 of each other, under ``_NEAR_TIE`` for any block of
     fewer than two million elements. So where a candidate's box SAD is
     nonzero and within ``_NEAR_TIE`` of the best so far, relatively, both
-    are recomputed as row sums and those are compared. Every comparison,
-    and so every winner, early stop and ledger charge, is the one the row
-    sums give.
+    are recomputed as row sums, on reference rows gathered for those
+    positions only, and those are compared. Every comparison, and so every
+    winner, early stop and ledger charge, is the one the row sums give.
     """
     cur, ref, (out_h, out_w) = _inputs(cur_input, ref_input, spec)
     n = out_h * out_w
@@ -269,9 +276,6 @@ def search(
     tau = params.threshold
 
     cur_blocks = unfold_blocks(cur, k, s, p).reshape(n, bsz)
-    ext = unfold_blocks(ref, k, s, p, extra_steps=r)
-    ext_w = out_w + 2 * r
-    ext_flat = ext.reshape(-1, bsz)
     m = r * s  # the reference plane's margin beyond the current's padding
     cur_pad, ref_pad = zero_pad(cur, p), zero_pad(ref, p + m)
 
@@ -303,12 +307,12 @@ def search(
             ni, nj = np.nonzero(near)
             bq = offsets[cand[near]]
             ni, nj = ni + i0, nj + j0
-            rows = cur_blocks[ni * out_w + nj]
-
-            def row_sad(dy, dx):
-                return _row_sad(np.abs(rows - ext_flat[(ni + dy + r) * ext_w + nj + dx + r]))
-
-            improved[near] = row_sad(qy, qx) < row_sad(bq[:, 0], bq[:, 1])
+            # reference rows of this candidate, then of the best so far
+            at = (np.concatenate([ni + qy, ni + bq[:, 0]]) + r,
+                  np.concatenate([nj + qx, nj + bq[:, 1]]) + r)
+            ref_rows = unfold_blocks(ref, k, s, p, extra_steps=r, at=at).reshape(2, -1, bsz)
+            sad_q, sad_best = _row_sad(np.abs(cur_blocks[ni * out_w + nj] - ref_rows))
+            improved[near] = sad_q < sad_best
         best[improved] = sad_vals[improved]
         cand[improved] = ci
         if params.early_stop_enabled and improved.any():
@@ -318,7 +322,7 @@ def search(
     steps = offsets[best_cand]
     max_nnz = params.match_max_density * bsz
     return _build_field(
-        spec, cur_blocks, ext, steps[..., 0], steps[..., 1], tau, lambda nnz: nnz <= max_nnz
+        spec, cur_blocks, ref, r, steps[..., 0], steps[..., 1], tau, lambda nnz: nnz <= max_nnz
     )
 
 
@@ -356,5 +360,4 @@ def field_from_vectors(
     steps_y, steps_x = mv_dy // s, mv_dx // s
     e = min(int(max(np.abs(steps_y).max(), np.abs(steps_x).max())), -(-(k + s) // s))
     cur_blocks = unfold_blocks(cur, k, s, p).reshape(out_h * out_w, spec.block_size)
-    ext = unfold_blocks(ref, k, s, p, extra_steps=e)
-    return _build_field(spec, cur_blocks, ext, steps_y, steps_x, tau, lambda nnz: matched)
+    return _build_field(spec, cur_blocks, ref, e, steps_y, steps_x, tau, lambda nnz: matched)

@@ -112,22 +112,46 @@ def zero_pad(x: np.ndarray, pad: int) -> np.ndarray:
 
 
 def unfold_blocks(
-    x: np.ndarray, kernel_size: int, stride: int, padding: int, extra_steps: int = 0
+    x: np.ndarray,
+    kernel_size: int,
+    stride: int,
+    padding: int,
+    extra_steps: int = 0,
+    at: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Gather every receptive field on the output grid into one array.
+    """Gather receptive fields on the output grid into one new array.
 
     Returns ``(grid_h, grid_w, C*k*k)`` float32 where the grid equals the
     convolution output dims plus ``extra_steps`` whole grid steps on every
     side; positions reaching past the frame read zeros. Flat block layout
-    is (channel, dy, dx), matching ``weights.reshape(C_out, -1)``.
+    is (channel, dy, dx), matching ``weights.reshape(C_out, -1)``. With
+    ``at=(rows, cols)``, integer arrays of equal length indexing that grid
+    (row 0 is ``extra_steps`` steps above the output grid), only those
+    positions are gathered, as ``(len(rows), C*k*k)`` in the given order.
+    The result is always a writeable array that shares no memory.
     """
     c = x.shape[0]
     k, s = kernel_size, stride
     padded = zero_pad(x, padding + extra_steps * s)
+    if at is not None:
+        _, hp, wp = padded.shape
+        rows, cols = np.asarray(at[0]), np.asarray(at[1])
+        if rows.size and (
+            min(rows.min(), cols.min()) < 0
+            or rows.max() > (hp - k) // s
+            or cols.max() > (wp - k) // s
+        ):
+            raise ValueError("unfold_blocks: a gathered position lies outside the grid")
+        offsets = (np.arange(c)[:, None, None] * (hp * wp)
+                   + np.arange(k)[:, None] * wp + np.arange(k)).ravel()
+        corners = rows * (s * wp) + cols * s
+        return np.take(padded.ravel(), corners.reshape(-1, 1) + offsets)
     win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
     win = win[:, ::s, ::s]  # (C, grid_h, grid_w, k, k)
     grid_h, grid_w = win.shape[1], win.shape[2]
-    return np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).reshape(grid_h, grid_w, c * k * k)
+    out = np.empty((grid_h, grid_w, c * k * k), dtype=np.float32)
+    out.reshape(grid_h, grid_w, c, k, k)[...] = win.transpose(1, 2, 0, 3, 4)
+    return out
 
 
 def conv2d(

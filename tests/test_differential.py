@@ -246,3 +246,76 @@ def test_ledger_counts_pinned_on_seeded_sequence():
         (576, 0, 7931), (140, 4, 2704), (24, 10, 748),
         (575, 1, 7994), (143, 1, 2567), (43, 0, 1118),
     ]
+
+
+def forward_nonkey_as_loop(spec, params, cur, ref, field=None):
+    """Run ``forward_nonkey`` after a key frame on ``ref``, with ``field``
+    or the layer's own search, check output and res/unmatched FLOPs against
+    ``loop_forward_nonkey`` on the same vectors, and return the layer."""
+    layer = MotionCompLayer(spec, params)
+    layer.forward_key(ref, FlopsLedger())
+    ref_output = layer.cache.prev_output.copy()
+    led = FlopsLedger()
+    out = layer.forward_nonkey(cur, led, field=field)
+    if field is None:
+        field = search(cur, ref, spec, params, None)
+    loop_led = FlopsLedger()
+    want = loop_forward_nonkey(spec, ref, ref_output, cur, field.mv_dy, field.mv_dx, field.matched,
+                               params.threshold, ledger=loop_led)
+    np.testing.assert_allclose(out, want, atol=1e-5, rtol=0)
+    assert led.res_flops == loop_led.res_flops
+    assert led.unmatched_flops == loop_led.unmatched_flops
+    return layer
+
+
+@settings(deadline=None, max_examples=60)
+@given(stacks())
+def test_forward_nonkey_when_nearly_every_position_falls_back(case):
+    # match_max_density=0 matches only empty residuals: everything else
+    # takes the dense fallback
+    spec, params, cur, ref, _ = case
+    params = params.updated(match_max_density=0.0)
+    layer = forward_nonkey_as_loop(spec, params, cur, ref)
+    assert layer.last_stats.nnz_total == 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(stacks(), st.integers(1, 3))
+def test_forward_nonkey_demotes_predictions_off_the_grid(case, reach):
+    # external vectors up to `reach` steps past the grid edges; matched
+    # positions whose prediction leaves the grid take the dense fallback
+    spec, params, cur, ref, rng = case
+    out_h, out_w = spec.out_shape(cur.shape[1], cur.shape[2])
+    s = spec.stride
+    steps_y = rng.integers(-out_h - reach, out_h + reach + 1, size=(out_h, out_w))
+    steps_x = rng.integers(-out_w - reach, out_w + reach + 1, size=(out_h, out_w))
+    steps_y[0, 0] = -1
+    matched = rng.random((out_h, out_w)) < 0.8
+    matched[0, 0] = True
+    field = field_from_vectors(cur, ref, spec, steps_y * s, steps_x * s, matched,
+                               tau=params.threshold)
+    layer = forward_nonkey_as_loop(spec, params, cur, ref, field)
+    src_i = np.arange(out_h)[:, None] + steps_y
+    src_j = np.arange(out_w)[None, :] + steps_x
+    off = (src_i < 0) | (src_i >= out_h) | (src_j < 0) | (src_j >= out_w)
+    assert layer.last_stats.demoted == np.count_nonzero(matched & off) >= 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(stacks())
+def test_masked_residual_entries_are_zero(case):
+    # the residual is the difference times its keep mask, so entries masked
+    # out of a negative difference read -0.0, which must equal zero
+    spec, params, cur, ref, _ = case
+    field = search(cur, ref, spec, params, None)
+    k, s, p = spec.kernel_size, spec.stride, spec.padding
+    for i in range(field.out_h):
+        for j in range(field.out_w):
+            cur_blk = extract_block(cur, spec, i, j)
+            ref_blk = read_block_at(ref, i * s - p + int(field.mv_dy[i, j]),
+                                    j * s - p + int(field.mv_dx[i, j]), k)
+            diff = (cur_blk - ref_blk).ravel()
+            kept = field.matched[i, j] & (np.abs(diff) >= params.threshold) & (diff != 0)
+            row = field.residual[i * field.out_w + j]
+            np.testing.assert_array_equal(row[kept], diff[kept])
+            assert (row[~kept] == 0).all()

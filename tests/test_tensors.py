@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionconv.ledger import FlopsLedger
-from motionconv.tensors import ConvSpec, conv2d, load_weights, save_weights
+from motionconv.tensors import ConvSpec, conv2d, load_weights, save_weights, unfold_blocks
 
 from oracles import (
     SparseBlock,
@@ -154,6 +154,55 @@ class TestExtractBlock:
         spec = ConvSpec(weights=np.ones((1, 1, 3, 3), dtype=np.float32), padding=1)
         with pytest.raises(ValueError, match="outside"):
             extract_block(x, spec, 4, 0)
+
+
+class TestUnfoldBlocks:
+    @pytest.mark.parametrize("c, k, s", [(1, 1, 1), (1, 1, 2), (3, 1, 1), (1, 3, 1)])
+    @pytest.mark.parametrize("positions", [False, True])
+    def test_returns_a_writeable_array_it_owns(self, c, k, s, positions):
+        x = np.arange(c * 5 * 6, dtype=np.float32).reshape(c, 5, 6)
+        at = (np.array([0, 1]), np.array([2, 0])) if positions else None
+        out = unfold_blocks(x, k, s, 0, at=at)
+        assert out.flags.writeable and out.flags.owndata
+        assert not np.shares_memory(out, x)
+        before = out.copy()
+        out += 1
+        np.testing.assert_array_equal(out, before + 1)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.integers(1, 3),
+        st.sampled_from([1, 3, 5]),
+        st.sampled_from([1, 2, 3]),
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.data(),
+    )
+    def test_positions_match_full_gather_and_oracle(self, c, k, s, padding, extra, data):
+        h = data.draw(st.integers(max(1, k - 2 * padding), k + 7))
+        w = data.draw(st.integers(max(1, k - 2 * padding), k + 7))
+        seed = data.draw(st.integers(0, 2**31 - 1))
+        x = np.random.default_rng(seed).random((c, h, w), dtype=np.float32)
+        full = unfold_blocks(x, k, s, padding, extra_steps=extra)
+        grid_h, grid_w = full.shape[:2]
+        # grid positions in random order, margin positions included; past
+        # the grid size they repeat
+        count = data.draw(st.integers(0, 3 * grid_h * grid_w))
+        flat = np.arange(count) % (grid_h * grid_w)
+        rows, cols = np.divmod(np.random.default_rng(seed).permutation(flat), grid_w)
+        got = unfold_blocks(x, k, s, padding, extra_steps=extra, at=(rows, cols))
+        assert got.shape == (count, c * k * k) and got.dtype == np.float32
+        np.testing.assert_array_equal(got, full[rows, cols])
+        for n, (i, j) in enumerate(zip(rows, cols)):
+            want = naive_extract_block(x, k, s, padding, int(i) - extra, int(j) - extra)
+            np.testing.assert_array_equal(got[n], want.ravel())
+
+    def test_rejects_positions_outside_the_grid(self):
+        x = np.ones((2, 6, 6), dtype=np.float32)
+        grid_h, grid_w = unfold_blocks(x, 3, 2, 1, extra_steps=1).shape[:2]
+        for rows, cols in [([grid_h], [0]), ([0], [grid_w]), ([-1], [0]), ([0], [-1])]:
+            with pytest.raises(ValueError, match="outside the grid"):
+                unfold_blocks(x, 3, 2, 1, extra_steps=1, at=(np.array(rows), np.array(cols)))
 
 
 class TestConvSparseBlock:
