@@ -127,24 +127,26 @@ def _aggregate_search_alpha(records: list[LayerFrameRecord]) -> Optional[float]:
     return sum(r.search_alpha * r.positions for r in nonkey) / sum(r.positions for r in nonkey)
 
 
+def _cost_model(r: LayerFrameRecord, alpha: float, beta: float) -> CostModel:
+    """The record's layer geometry with the given match statistics."""
+    return CostModel(r.kernel_size, r.stride, r.in_channels, r.out_channels,
+                     r.out_h, r.out_w, r.search_range, alpha, beta)
+
+
+def _summary(recs: list[LayerFrameRecord]) -> tuple[dict[str, int], Optional[float], Optional[float]]:
+    """FLOPs per category plus their total, and the aggregate alpha and beta."""
+    flops = {cat: sum(r.flops[cat] for r in recs) for cat in ("key", "me", "res", "unmatched")}
+    flops["total"] = sum(flops.values())
+    return (flops, *_aggregate_alpha_beta(recs))
+
+
 def _model_totals(records: list[LayerFrameRecord], paper_variant: bool) -> dict:
     me = unmatched = res = 0
     nonkey_conv = 0
     for r in records:
         if r.is_key or r.matched is None:
             continue
-        m = CostModel(
-            kernel_size=r.kernel_size,
-            stride=r.stride,
-            in_channels=r.in_channels,
-            out_channels=r.out_channels,
-            out_h=r.out_h,
-            out_w=r.out_w,
-            search_range=r.search_range,
-            alpha=r.alpha,
-            beta=r.beta,
-        )
-        part = model_nonkey_flops(m, paper_variant)
+        part = model_nonkey_flops(_cost_model(r, r.alpha, r.beta), paper_variant)
         me += part["me"]
         unmatched += part["unmatched"]
         res += part["res"]
@@ -171,9 +173,7 @@ def build_report(result: RunResult, config: dict) -> dict:
 
     per_layer = []
     for li, recs in enumerate(by_layer):
-        flops = {cat: sum(r.flops[cat] for r in recs) for cat in ("key", "me", "res", "unmatched")}
-        flops["total"] = sum(flops.values())
-        alpha, beta = _aggregate_alpha_beta(recs)
+        flops, alpha, beta = _summary(recs)
         r0 = recs[0]
         entry = {
             "layer": li,
@@ -191,26 +191,14 @@ def build_report(result: RunResult, config: dict) -> dict:
             "beta": beta,
         }
         if alpha is not None:
-            m = CostModel(
-                kernel_size=r0.kernel_size,
-                stride=r0.stride,
-                in_channels=r0.in_channels,
-                out_channels=r0.out_channels,
-                out_h=r0.out_h,
-                out_w=r0.out_w,
-                search_range=r0.search_range,
-                alpha=alpha,
-                beta=beta,
-            )
+            m = _cost_model(r0, alpha, beta)
             entry["acceleration_paper"] = acceleration(m, paper_variant=True)
             entry["acceleration_exact"] = acceleration(m, paper_variant=False)
         per_layer.append(entry)
 
     per_frame = []
     for t, recs in enumerate(by_frame):
-        flops = {cat: sum(r.flops[cat] for r in recs) for cat in ("key", "me", "res", "unmatched")}
-        flops["total"] = sum(flops.values())
-        alpha, beta = _aggregate_alpha_beta(recs)
+        flops, alpha, beta = _summary(recs)
         entry = {
             "frame": t,
             "is_key": recs[0].is_key,

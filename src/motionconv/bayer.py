@@ -17,6 +17,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .tensors import is_int
+
 # 2x2 tile position of each role, per pattern. Roles index the packed
 # channel order (R, G1, G2, B).
 ROLE_NAMES = ("R", "G1", "G2", "B")
@@ -107,10 +109,15 @@ def _check_sidecar(meta: dict) -> dict:
     for key in ("width", "height", "pattern", "bit_depth", "frame_count"):
         if key not in meta:
             raise ValueError(f"sidecar missing {key!r}")
-    if meta["pattern"] not in PATTERNS:
+    for key in ("width", "height", "frame_count"):
+        if not is_int(meta[key]) or meta[key] < 1:
+            raise ValueError(f"sidecar {key!r} must be a positive integer, got {meta[key]!r}")
+    if not isinstance(meta["pattern"], str) or meta["pattern"] not in PATTERNS:
         raise ValueError(f"unknown Bayer pattern {meta['pattern']!r}")
-    if not 8 <= meta["bit_depth"] <= 16:
-        raise ValueError(f"bit_depth must be in [8, 16], got {meta['bit_depth']}")
+    if not is_int(meta["bit_depth"]) or not 8 <= meta["bit_depth"] <= 16:
+        raise ValueError(
+            f"sidecar 'bit_depth' must be an integer in [8, 16], got {meta['bit_depth']!r}"
+        )
     if meta["width"] % 2 or meta["height"] % 2:
         raise ValueError("frame dims must be even")
     return meta

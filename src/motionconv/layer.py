@@ -27,8 +27,10 @@ from .tensors import (
     ConvSpec,
     FeatureMap,
     conv2d,
+    dense_rows,
     ensure_feature_map,
     load_weights,
+    require_keys,
     unfold_blocks,
 )
 
@@ -50,6 +52,13 @@ ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "relu": _relu,
     "leaky_relu": _leaky_relu,
 }
+
+
+# Keys a layer's parameter block may hold.
+PARAM_KEYS = (
+    "search_range", "threshold", "early_stop_density", "match_max_density",
+    "activation", "post_scale", "post_shift", "compensate",
+)
 
 
 class LayerError(ValueError):
@@ -130,11 +139,13 @@ class MotionCompLayer:
     @classmethod
     def from_files(cls, weights_path, params) -> "MotionCompLayer":
         """Build from a weights file plus a JSON parameter block (path or
-        dict) with keys search_range, threshold, early_stop_density,
-        match_max_density, activation."""
-        spec = load_weights(weights_path)
+        dict) holding any of ``PARAM_KEYS``; any other key is rejected."""
+        source = f"parameters for weights {weights_path}"
         if not isinstance(params, dict):
+            source = f"parameter file {params}"
             params = json.loads(Path(params).read_text())
+        require_keys(params, (), source, allowed=PARAM_KEYS)
+        spec = load_weights(weights_path)
         motion_keys = {"search_range", "threshold", "early_stop_density", "match_max_density"}
         mp = MotionParams(**{k: params[k] for k in motion_keys if k in params})
         return cls(
@@ -147,10 +158,13 @@ class MotionCompLayer:
         )
 
     def _affine(self, linear: np.ndarray) -> np.ndarray:
+        """``post_scale`` then ``post_shift`` along axis 0 of a
+        channel-first array of any shape."""
+        per_channel = (-1,) + (1,) * (linear.ndim - 1)
         if self.post_scale is not None:
-            linear = linear * self.post_scale[:, None, None]
+            linear = linear * self.post_scale.reshape(per_channel)
         if self.post_shift is not None:
-            linear = linear + self.post_shift[:, None, None]
+            linear = linear + self.post_shift.reshape(per_channel)
         return linear
 
     def _activate(self, linear: np.ndarray) -> np.ndarray:
@@ -249,15 +263,7 @@ class MotionCompLayer:
         if fallback.size:
             at = np.divmod(fallback, out_w)
             blocks = unfold_blocks(x, spec.kernel_size, s, spec.padding, at=at)
-            vals = blocks @ spec.weights.reshape(c_out, -1).T
-            if spec.bias is not None:
-                vals = vals + spec.bias
-            if self.post_scale is not None:
-                vals = vals * self.post_scale
-            if self.post_shift is not None:
-                vals = vals + self.post_shift
-            flat[:, fallback] = vals.T
-            ledger.charge("unmatched", 2 * bsz * c_out * fallback.size)
+            flat[:, fallback] = self._affine(dense_rows(blocks, spec, ledger, "unmatched"))
 
         self.cache = LayerCache(prev_input=x.copy(), prev_output=out)
         self.last_stats = NonKeyStats(

@@ -28,7 +28,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .ledger import FlopsLedger
-from .tensors import ConvSpec, FeatureMap, ensure_feature_map, unfold_blocks, zero_pad
+from .tensors import ConvSpec, FeatureMap, ensure_feature_map, is_int, unfold_blocks, zero_pad
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,9 @@ class MotionParams:
     match_max_density: float = 0.9
 
     def __post_init__(self):
-        if self.search_range < 0:
-            raise ValueError(f"search_range must be >= 0, got {self.search_range}")
+        if not is_int(self.search_range) or self.search_range < 0:
+            raise ValueError(f"search_range must be an integer >= 0, got {self.search_range!r}")
+        object.__setattr__(self, "search_range", int(self.search_range))
         if self.threshold < 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
         if self.early_stop_density > 1:

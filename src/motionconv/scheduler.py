@@ -10,7 +10,7 @@ feeds back into the pipeline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -44,6 +44,10 @@ def segment(frame_count: int, gop_length: int) -> list[int]:
     return list(range(0, frame_count, gop_length))
 
 
+# Keys a layer entry of a network description may hold.
+LAYER_KEYS = ("weights", "params", "post_scale", "post_shift", "compensate")
+
+
 class Network:
     """Ordered stack of motion-compensated layers."""
 
@@ -74,13 +78,16 @@ class Network:
     @classmethod
     def from_json(cls, path) -> "Network":
         """Load a network description: {"layers": [{"weights": ..., "params":
-        {...}}, ...]}. Relative weight paths resolve against the JSON file."""
+        {...}}, ...]}. Relative weight paths resolve against the JSON file.
+        An entry may hold only ``LAYER_KEYS``; its params block only
+        ``layer.PARAM_KEYS``."""
         path = Path(path)
         desc = json.loads(path.read_text())
         require_keys(desc, ("layers",), f"network description {path}")
         layers = []
         for i, entry in enumerate(desc["layers"]):
-            require_keys(entry, ("weights",), f"layer {i} of network description {path}")
+            source = f"layer {i} of network description {path}"
+            require_keys(entry, ("weights",), source, allowed=LAYER_KEYS)
             weights = Path(entry["weights"])
             if not weights.is_absolute():
                 weights = path.parent / weights
@@ -88,7 +95,10 @@ class Network:
             for extra in ("post_scale", "post_shift", "compensate"):
                 if extra in entry:
                     params[extra] = entry[extra]
-            layers.append(MotionCompLayer.from_files(weights, params))
+            try:
+                layers.append(MotionCompLayer.from_files(weights, params))
+            except ValueError as exc:
+                raise ValueError(f"{source}: {exc}") from exc
         return cls(layers)
 
 
@@ -145,7 +155,6 @@ def run_sequence(net: Network, frames: Iterable[FeatureMap], config: GopConfig) 
     oracle_max: list[float] = []
     oracle_mean: list[float] = []
     expected_shape = None
-    baseline_per_frame = 0
     frame_count = 0
 
     for t, frame in enumerate(frames):
@@ -155,10 +164,6 @@ def run_sequence(net: Network, frames: Iterable[FeatureMap], config: GopConfig) 
             raise ValueError(f"frame {t}: {exc}") from exc
         if expected_shape is None:
             expected_shape = x.shape
-            h, w = x.shape[1], x.shape[2]
-            for layer in net.layers:
-                baseline_per_frame += layer.spec.conv_flops(h, w)
-                h, w = layer.spec.out_shape(h, w)
         elif x.shape != expected_shape:
             raise ValueError(
                 f"frame {t}: shape {x.shape} drifted from {expected_shape}"
@@ -194,13 +199,9 @@ def run_sequence(net: Network, frames: Iterable[FeatureMap], config: GopConfig) 
             )
             if not is_key and layer.last_stats is not None:
                 st = layer.last_stats
-                rec.matched = st.matched
-                rec.demoted = st.demoted
-                rec.nnz_total = st.nnz_total
-                rec.block_size = st.block_size
-                rec.alpha = st.alpha
-                rec.beta = st.beta
-                rec.search_alpha = st.search_alpha
+                rec = replace(rec, matched=st.matched, demoted=st.demoted, nnz_total=st.nnz_total,
+                              block_size=st.block_size, alpha=st.alpha, beta=st.beta,
+                              search_alpha=st.search_alpha)
             records.append(rec)
             ledger.merge(sub)
         outputs.append(x)
@@ -220,7 +221,7 @@ def run_sequence(net: Network, frames: Iterable[FeatureMap], config: GopConfig) 
         ledger=ledger,
         records=records,
         key_indices=segment(frame_count, config.gop_length),
-        baseline_total=baseline_per_frame * frame_count,
+        baseline_total=sum(rec.conv_flops for rec in records),
         oracle_max_abs=oracle_max if config.oracle else None,
         oracle_mean_abs=oracle_mean if config.oracle else None,
     )

@@ -9,6 +9,7 @@ kernel element) to the caller's ledger.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -18,6 +19,12 @@ import numpy as np
 from .ledger import FlopsLedger
 
 FeatureMap = np.ndarray  # (C, H, W) float32
+
+
+def is_int(value) -> bool:
+    """True for Python and numpy integers; bools and floats such as 2.0
+    are not integers here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def ensure_feature_map(x, channels: int | None = None, name: str = "input") -> np.ndarray:
@@ -62,12 +69,11 @@ class ConvSpec:
             b = b.copy()
             b.flags.writeable = False
             object.__setattr__(self, "bias", b)
-        if int(self.stride) < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if int(self.padding) < 0:
-            raise ValueError(f"padding must be >= 0, got {self.padding}")
-        object.__setattr__(self, "stride", int(self.stride))
-        object.__setattr__(self, "padding", int(self.padding))
+        for name, low in (("stride", 1), ("padding", 0)):
+            value = getattr(self, name)
+            if not is_int(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     @property
     def out_channels(self) -> int:
@@ -154,6 +160,21 @@ def unfold_blocks(
     return out
 
 
+def dense_rows(
+    blocks: np.ndarray, spec: ConvSpec, ledger: FlopsLedger | None, category: str
+) -> np.ndarray:
+    """Convolve gathered receptive fields: ``(n, C_in*k*k)`` rows in
+    ``unfold_blocks`` layout give ``(C_out, n)`` outputs, weights times rows
+    plus the bias. Charges ``2 k^2 C_in C_out`` per row to ``ledger`` under
+    ``category``; ``ledger=None`` skips accounting."""
+    out = blocks @ spec.weights.reshape(spec.out_channels, -1).T
+    if spec.bias is not None:
+        out = out + spec.bias
+    if ledger is not None:
+        ledger.charge(category, 2 * spec.block_size * spec.out_channels * len(blocks))
+    return out.T
+
+
 def conv2d(
     x: FeatureMap, spec: ConvSpec, ledger: FlopsLedger | None, category: str = "key"
 ) -> FeatureMap:
@@ -161,20 +182,14 @@ def conv2d(
 
     output(o, i, j) = bias[o] + sum_{c,dy,dx} weights[o,c,dy,dx] *
     padded_input(c, i*s + dy - p, j*s + dx - p). Charges the full dense
-    cost to ``ledger`` under ``category`` (key frames by default; pass
-    "unmatched" for fallback work). ``ledger=None`` skips accounting.
+    cost to ``ledger`` under ``category`` (key frames by default).
+    ``ledger=None`` skips accounting. The result is C-contiguous.
     """
     x = ensure_feature_map(x, channels=spec.in_channels)
-    h, w = x.shape[1], x.shape[2]
-    out_h, out_w = spec.out_shape(h, w)
+    out_h, out_w = spec.out_shape(x.shape[1], x.shape[2])
     blocks = unfold_blocks(x, spec.kernel_size, spec.stride, spec.padding)
-    flat = blocks.reshape(out_h * out_w, -1)
-    out = flat @ spec.weights.reshape(spec.out_channels, -1).T
-    if spec.bias is not None:
-        out = out + spec.bias
-    if ledger is not None:
-        ledger.charge(category, spec.conv_flops(h, w))
-    result = np.ascontiguousarray(out.reshape(out_h, out_w, -1).transpose(2, 0, 1))
+    out = dense_rows(blocks.reshape(out_h * out_w, -1), spec, ledger, category)
+    result = np.ascontiguousarray(out.reshape(-1, out_h, out_w))
     if not np.isfinite(result).all():
         raise ValueError("convolution produced non-finite values")
     return result
@@ -202,14 +217,18 @@ def save_weights(spec: ConvSpec, path) -> Path:
     return sidecar_path
 
 
-def require_keys(meta, keys, source: str) -> None:
+def require_keys(meta, keys, source: str, allowed=None) -> None:
     """Raise ``ValueError`` naming ``source`` unless ``meta`` is a JSON
-    object holding every one of ``keys``."""
+    object holding every one of ``keys`` and, when ``allowed`` is given,
+    no key outside it."""
     if not isinstance(meta, dict):
         raise ValueError(f"{source} must be a JSON object, got {type(meta).__name__}")
     for key in keys:
         if key not in meta:
             raise ValueError(f"{source} is missing key {key!r}")
+    for key in meta:
+        if allowed is not None and key not in allowed:
+            raise ValueError(f"{source} has unknown key {key!r}; accepted: {', '.join(allowed)}")
 
 
 def load_weights(path, sidecar=None) -> ConvSpec:

@@ -148,6 +148,20 @@ class TestRawIO:
         with pytest.raises(ValueError, match="bit_depth"):
             list(load_raw_sequence(path, sidecar))
 
+    @pytest.mark.parametrize("key, value", [
+        ("width", "8"), ("width", -8), ("width", 0), ("width", 8.0), ("width", True),
+        ("height", 8.0), ("height", None),
+        ("frame_count", True), ("frame_count", 1.5), ("frame_count", 0),
+        ("bit_depth", 8.0), ("bit_depth", "8"), ("pattern", ["RGGB"]),
+    ])
+    def test_sidecar_with_wrong_type_names_key(self, tmp_path, key, value):
+        path = tmp_path / "x.raw"
+        path.write_bytes(b"\x00" * 128)
+        sidecar = {"width": 8, "height": 8, "pattern": "RGGB", "bit_depth": 8, "frame_count": 2,
+                   key: value}
+        with pytest.raises(ValueError, match=key):
+            list(load_raw_sequence(path, sidecar))
+
     @pytest.mark.parametrize("bit_depth", [8, 12, 16])
     def test_write_read_write_bit_exact(self, tmp_path, bit_depth):
         rng = np.random.default_rng(4)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -125,17 +127,32 @@ class TestForwardNonKey:
         out = layer.forward_nonkey(x1, FlopsLedger())
         np.testing.assert_allclose(out, conv2d(x1, spec, None), atol=1e-4, rtol=0)
 
-    def test_all_unmatched_fallback_is_dense(self):
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("affine", ["none", "scale", "shift", "both"])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("activation", ["none", "relu", "leaky_relu"])
+    def test_all_unmatched_fallback_is_dense(self, activation, bias, affine, stride):
+        # the fallback and the key path share one row routine and one affine,
+        # so a field that matches nothing reproduces the dense path bit for bit
         rng = np.random.default_rng(9)
-        spec = make_spec(rng)
-        layer = MotionCompLayer(spec, lossless_params(match_max_density=0.0))
-        layer.forward_key(rng.random((3, 12, 12), dtype=np.float32), FlopsLedger())
+        spec = make_spec(rng, bias=bias, stride=stride)
+        c_out = spec.out_channels
+        scale = rng.uniform(0.5, 1.5, c_out) if affine in ("scale", "both") else None
+        shift = rng.uniform(-0.3, 0.3, c_out) if affine in ("shift", "both") else None
+        layer = MotionCompLayer(spec, lossless_params(), activation=activation,
+                                post_scale=scale, post_shift=shift)
+        x0 = rng.random((3, 12, 12), dtype=np.float32)
         x1 = rng.random((3, 12, 12), dtype=np.float32)
+        layer.forward_key(x0, FlopsLedger())
+        grid = spec.out_shape(12, 12)
+        zeros = np.zeros(grid, dtype=np.int32)
+        field = field_from_vectors(x1, x0, spec, zeros, zeros, np.zeros(grid, dtype=bool))
         led = FlopsLedger()
-        out = layer.forward_nonkey(x1, led)
-        np.testing.assert_allclose(out, conv2d(x1, spec, None), atol=1e-5, rtol=0)
-        assert led.res_flops == 0
-        assert led.unmatched_flops == spec.conv_flops(12, 12)
+        out = layer.forward_nonkey(x1, led, field=field)
+        np.testing.assert_array_equal(out, layer.dense_forward(x1))
+        assert led.counts() == {"key": 0, "me": 0, "res": 0,
+                                "unmatched": spec.conv_flops(12, 12),
+                                "total": spec.conv_flops(12, 12)}
 
     def test_bias_present_exactly_once_on_matched_positions(self):
         rng = np.random.default_rng(10)
@@ -304,3 +321,14 @@ class TestFromFiles:
         assert not layer.params.early_stop_enabled
         assert layer.activation == "relu"
         np.testing.assert_array_equal(layer.spec.weights, spec.weights)
+
+    @pytest.mark.parametrize("key", ["treshold", "stride", "weights"])
+    def test_rejects_unknown_param_key(self, tmp_path, key):
+        path = tmp_path / "w.bin"
+        save_weights(make_spec(np.random.default_rng(22)), path)
+        with pytest.raises(ValueError, match=f"{path}.*'{key}'"):
+            MotionCompLayer.from_files(path, {"threshold": 0.0, key: 1})
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps({key: 1}))
+        with pytest.raises(ValueError, match=f"{params_path}.*'{key}'"):
+            MotionCompLayer.from_files(path, params_path)

@@ -92,6 +92,15 @@ class TestMotionParams:
         with pytest.raises(ValueError):
             MotionParams(match_max_density=1.5)
 
+    @pytest.mark.parametrize("value", [1.5, 1.0, True])
+    def test_rejects_non_integer_search_range(self, value):
+        with pytest.raises(ValueError, match="search_range must be an integer"):
+            MotionParams(search_range=value)
+
+    def test_accepts_numpy_integer_search_range(self):
+        params = MotionParams(search_range=np.int64(2))
+        assert params.search_range == 2 and type(params.search_range) is int
+
 
 class TestSearch:
     def test_static_scene_all_zero_motion(self):

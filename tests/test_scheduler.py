@@ -77,6 +77,21 @@ class TestNetwork:
         with pytest.raises(ValueError, match=f"layer 0 of .*{net_path}.*'weights'"):
             Network.from_json(net_path)
 
+    @pytest.mark.parametrize("entry, key", [
+        ({"weights": "l0.bin", "param": {}}, "param"),
+        ({"weights": "l0.bin", "activation": "relu"}, "activation"),
+        ({"weights": "l0.bin", "params": {"treshold": 0.0}}, "treshold"),
+        ({"weights": "l0.bin", "params": {"weights": "l1.bin"}}, "weights"),
+    ])
+    def test_from_json_rejects_unknown_keys(self, tmp_path, entry, key):
+        import json
+
+        save_weights(random_conv_spec(np.random.default_rng(3), 3, 6, 3, 1), tmp_path / "l0.bin")
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps({"layers": [entry]}))
+        with pytest.raises(ValueError, match=f"layer 0 of .*{net_path}.*'{key}'"):
+            Network.from_json(net_path)
+
 
 class TestRunSequence:
     def test_static_pair_second_frame_costs_only_search(self):

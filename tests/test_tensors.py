@@ -29,6 +29,15 @@ class TestConv2d:
         out = conv2d(x, spec, FlopsLedger())
         np.testing.assert_array_equal(out, x)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_result_is_c_contiguous(self, stride):
+        # a transposed GEMM view here slowed every downstream layer
+        rng = np.random.default_rng(20)
+        spec = make_spec(rng, 3, 5, 3, stride=stride, padding=1)
+        out = conv2d(rng.random((3, 9, 7), dtype=np.float32), spec, None)
+        assert out.shape == (5, *spec.out_shape(9, 7))
+        assert out.flags.c_contiguous
+
     def test_flops_charge(self):
         # 2 * 9 * 4 * 16 * 64 = 73,728 for k=3, C_in=4, C_out=16, 8x8 out
         rng = np.random.default_rng(0)
@@ -110,6 +119,19 @@ class TestConvSpec:
             ConvSpec(weights=w, stride=0)
         with pytest.raises(ValueError):
             ConvSpec(weights=w, padding=-1)
+
+    @pytest.mark.parametrize("geometry", [{"stride": 1.7}, {"stride": 1.0}, {"stride": True},
+                                          {"padding": 0.9}, {"padding": False}])
+    def test_rejects_non_integer_geometry(self, geometry):
+        (name,) = geometry
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ConvSpec(weights=np.ones((1, 1, 1, 1), dtype=np.float32), **geometry)
+
+    def test_accepts_numpy_integers(self):
+        spec = ConvSpec(weights=np.ones((1, 1, 1, 1), dtype=np.float32),
+                        stride=np.int64(2), padding=np.int32(1))
+        assert (spec.stride, spec.padding) == (2, 1)
+        assert type(spec.stride) is int and type(spec.padding) is int
 
     def test_weights_read_only(self):
         spec = ConvSpec(weights=np.ones((1, 1, 1, 1), dtype=np.float32))
@@ -314,6 +336,16 @@ class TestWeightsIO:
         with open(path, "ab") as fh:
             fh.write(b"\x00\x00\x00\x00")
         with pytest.raises(ValueError, match="floats"):
+            load_weights(path)
+
+    def test_sidecar_with_fractional_stride_is_value_error(self, tmp_path):
+        import json
+
+        path = tmp_path / "w.bin"
+        sidecar = save_weights(make_spec(np.random.default_rng(15), 2, 2, 3), path)
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**meta, "stride": 1.5}))
+        with pytest.raises(ValueError, match="stride must be an integer"):
             load_weights(path)
 
     @pytest.mark.parametrize(
