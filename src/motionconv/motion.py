@@ -2,27 +2,32 @@
 
 Every output position owns one block the size of the kernel's receptive
 field. Candidates are stride-aligned offsets within the search range,
-and the search loop only scores them by SAD against the reference frame.
-It scores a candidate for all positions at once: one difference of the
+and the search loop scores them by SAD against the reference frame. It
+scores a candidate for all positions at once: one difference of the
 padded frames, cropped to the box of positions still searching, summed
 over each block with a separable box filter (the window-cost aggregation
 of stereo block matching). Box sums add in another order than per-block
 sums, so near-ties are re-decided on per-block sums, and every decision
-is the one per-block sums give. The reference frame is never gathered
-whole: the near-tie check gathers the rows of its near positions only,
-and one builder turns per-position vectors into a ``MotionField`` by
-gathering each position's reference block once, at its vector. It
-thresholds the difference into that position's row of one dense residual
-array (a multiply by the keep mask, no select) and records the SAD and
-kept count of every position. ``search`` feeds it the winners and
-``field_from_vectors`` externally chosen vectors. Matches whose residual
-stays too dense are handed back to the dense fallback path.
+is the one per-block sums give. The same loop box-sums the kept entries
+of every candidate that improves a position, so each position leaves it
+with its winner's kept count. Neither frame is gathered whole: the
+near-tie check gathers the rows of its near positions only, and one
+builder turns per-position vectors, kept counts and match flags into a
+``MotionField`` by gathering both frames only at the rows the residual
+GEMM reads, matched positions with a nonzero kept count. It thresholds
+their differences into one dense residual array (a multiply by the keep
+mask, no select) whose other rows stay zero. ``search`` feeds it the
+winners and ``field_from_vectors`` externally chosen vectors. Matches
+whose residual stays too dense are handed back to the dense fallback
+path. The SAD of each position's vector is computed on first access to
+``MotionField.sad``, never on the pipeline path.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import IO, Callable
 
 import numpy as np
@@ -70,13 +75,15 @@ class MotionParams:
 class MotionField:
     """Per-position search outcome for one frame at one layer.
 
-    ``mv_dy``/``mv_dx``/``sad``/``nnz`` hold the winning candidate for every
-    position, including unmatched ones. ``residual`` is ``(out_h * out_w,
-    block_size)`` float32 in raster order and ``unfold_blocks`` layout: the
-    thresholded difference of each matched position, zero for entries below
-    the threshold and for every row of an unmatched position. ``alpha`` is
-    the matched fraction, ``beta`` the mean residual density over matched
-    positions.
+    ``mv_dy``/``mv_dx``/``nnz`` hold the winning candidate for every
+    position, including unmatched ones; so does ``sad``, which is computed
+    from the frames the field was built from on first access (read it
+    before editing those frames in place). ``residual`` is ``(out_h *
+    out_w, block_size)`` float32 in raster order and ``unfold_blocks``
+    layout: the thresholded difference of each matched position, zero for
+    entries below the threshold and for every row of an unmatched
+    position. ``alpha`` is the matched fraction, ``beta`` the mean
+    residual density over matched positions.
     """
 
     out_h: int
@@ -86,9 +93,15 @@ class MotionField:
     matched: np.ndarray
     mv_dy: np.ndarray
     mv_dx: np.ndarray
-    sad: np.ndarray
     nnz: np.ndarray
     residual: np.ndarray
+    # every position's current-minus-reference row at its vector, on demand
+    _diff_rows: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def sad(self) -> np.ndarray:
+        """SAD of every position's winning candidate, summed over its row."""
+        return _row_sad(np.abs(self._diff_rows())).reshape(self.out_h, self.out_w)
 
     @property
     def positions(self) -> int:
@@ -166,48 +179,67 @@ def _inputs(cur_input: FeatureMap, ref_input: FeatureMap, spec: ConvSpec):
     return cur, ref, spec.out_shape(cur.shape[1], cur.shape[2])
 
 
-def _build_field(
+def _differences(
     spec: ConvSpec,
-    cur_blocks: np.ndarray,
+    cur: FeatureMap,
     ref: FeatureMap,
-    e: int,
     steps_y: np.ndarray,
     steps_x: np.ndarray,
-    tau: float,
-    match: Callable[[np.ndarray], np.ndarray],
-) -> MotionField:
-    """The MotionField of per-position vectors given in grid steps.
-
-    ``cur_blocks`` is the current frame's ``(n, block_size)`` gather. Each
-    position's reference block is gathered once, at its source clipped to
-    ``e`` grid steps beyond the output grid, and subtracted from it.
-    ``match`` maps the kept count of every position to its match flag.
-    Every position gets its SAD and kept count; the residual keeps the
-    kept entries of matched rows and is zero elsewhere (masked entries of
-    negative differences read -0.0, which equals 0).
-    """
+    e: int,
+    positions: np.ndarray,
+) -> np.ndarray:
+    """``(len(positions), block_size)`` current blocks minus reference
+    blocks for the raster indices ``positions``, each reference block read
+    at the position's vector in grid steps, its source clipped to ``e``
+    grid steps beyond the output grid."""
     out_h, out_w = steps_y.shape
     k, s, p = spec.kernel_size, spec.stride, spec.padding
-    src_i = np.clip(np.arange(out_h)[:, None] + steps_y, -e, out_h - 1 + e) + e
-    src_j = np.clip(np.arange(out_w)[None, :] + steps_x, -e, out_w - 1 + e) + e
-    at = (src_i.ravel(), src_j.ravel())
-    diff = cur_blocks - unfold_blocks(ref, k, s, p, extra_steps=e, at=at)
-    mag = np.abs(diff)
-    keep = _kept(mag, tau)
-    nnz = np.count_nonzero(keep, axis=1)
-    matched = np.array(match(nnz), dtype=bool).reshape(out_h, out_w)
-    keep &= matched.reshape(-1, 1)
+    i, j = np.divmod(positions, out_w)
+    src_i = np.clip(i + steps_y.ravel()[positions], -e, out_h - 1 + e) + e
+    src_j = np.clip(j + steps_x.ravel()[positions], -e, out_w - 1 + e) + e
+    diff = unfold_blocks(cur, k, s, p, at=(i, j))
+    diff -= unfold_blocks(ref, k, s, p, extra_steps=e, at=(src_i, src_j))
+    return diff
+
+
+def _build_field(
+    spec: ConvSpec,
+    cur: FeatureMap,
+    ref: FeatureMap,
+    steps_y: np.ndarray,
+    steps_x: np.ndarray,
+    e: int,
+    tau: float,
+    nnz: np.ndarray,
+    matched: np.ndarray,
+) -> MotionField:
+    """The MotionField of per-position vectors given in grid steps, with
+    their kept counts ``nnz`` and match flags ``matched``.
+
+    Both frames are gathered only at matched positions with ``nnz > 0``,
+    each reference block at its source clipped to ``e`` grid steps beyond
+    the output grid; their differences, times the keep mask, are the only
+    nonzero rows of the residual (masked entries of negative differences
+    read -0.0, which equals 0).
+    """
+    out_h, out_w = steps_y.shape
+    need = np.flatnonzero(matched & (nnz > 0))
+    diff = _differences(spec, cur, ref, steps_y, steps_x, e, need)
+    residual = np.zeros((out_h * out_w, spec.block_size), dtype=np.float32)
+    residual[need] = np.multiply(diff, _kept(np.abs(diff), tau), out=diff)
     return MotionField(
         out_h=out_h,
         out_w=out_w,
         block_size=spec.block_size,
-        stride=s,
+        stride=spec.stride,
         matched=matched,
-        mv_dy=steps_y * s,
-        mv_dx=steps_x * s,
-        sad=_row_sad(mag).reshape(out_h, out_w),
-        nnz=nnz.astype(np.int32).reshape(out_h, out_w),
-        residual=np.multiply(diff, keep, out=diff),
+        mv_dy=steps_y * spec.stride,
+        mv_dx=steps_x * spec.stride,
+        nnz=nnz,
+        residual=residual,
+        _diff_rows=lambda: _differences(
+            spec, cur, ref, steps_y, steps_x, e, np.arange(out_h * out_w)
+        ),
     )
 
 
@@ -238,16 +270,17 @@ def search(
     """Full search over stride-aligned candidates for every output position.
 
     Candidates are enumerated with (0, 0) first, then raster order; each
-    evaluated SAD charges 2 k^2 C_in. The candidate loop only scores: it
-    keeps each position's best SAD and winning candidate, and, with early
-    stopping on, counts the kept entries of every candidate that becomes
-    the best so far and retires the position once that count is at or
-    below the early-stop trigger. The winner is the minimum-SAD candidate
-    among those evaluated (ties keep the earlier candidate); its residual
-    is built once, after the loop, from the current frame's gather and
-    the reference rows at the winning vectors, and a position is matched
-    when the winning density does not exceed ``match_max_density``.
-    Candidate reads beyond the reference frame see zeros.
+    evaluated SAD charges 2 k^2 C_in. The candidate loop keeps each
+    position's best SAD, winning candidate and that candidate's kept count:
+    the kept entries of every candidate that becomes the best so far are
+    counted, and with early stopping on the position retires once that
+    count is at or below the early-stop trigger. The winner is the
+    minimum-SAD candidate among those evaluated (ties keep the earlier
+    candidate), and a position is matched when its kept count does not
+    exceed ``match_max_density`` of the block. The residual is built once,
+    after the loop, from rows of both frames gathered at matched positions
+    with a nonzero kept count only. Candidate reads beyond the reference
+    frame see zeros.
 
     Each candidate is scored on whole planes, cropped to the bounding box
     of the positions still active: one float32 difference of the
@@ -265,23 +298,23 @@ def search(
     4 (n - 1) * 2^-53 of each other, under ``_NEAR_TIE`` for any block of
     fewer than two million elements. So where a candidate's box SAD is
     nonzero and within ``_NEAR_TIE`` of the best so far, relatively, both
-    are recomputed as row sums, on reference rows gathered for those
-    positions only, and those are compared. Every comparison, and so every
-    winner, early stop and ledger charge, is the one the row sums give.
+    are recomputed as row sums, on current and reference rows gathered for
+    those positions only, and those are compared. Every comparison, and so
+    every winner, early stop and ledger charge, is the one the row sums
+    give.
     """
     cur, ref, (out_h, out_w) = _inputs(cur_input, ref_input, spec)
-    n = out_h * out_w
     k, s, p = spec.kernel_size, spec.stride, spec.padding
     bsz = spec.block_size
     r = params.search_range
     tau = params.threshold
 
-    cur_blocks = unfold_blocks(cur, k, s, p).reshape(n, bsz)
     m = r * s  # the reference plane's margin beyond the current's padding
     cur_pad, ref_pad = zero_pad(cur, p), zero_pad(ref, p + m)
 
     best_sad = np.full((out_h, out_w), np.inf)
     best_cand = np.zeros((out_h, out_w), dtype=np.int32)
+    best_nnz = np.zeros((out_h, out_w), dtype=np.int32)
     active = np.ones((out_h, out_w), dtype=bool)
 
     offsets = np.array(_candidate_offsets(r), dtype=np.int32)
@@ -301,7 +334,7 @@ def search(
         sad_vals = _box(mag.sum(axis=0, dtype=np.float64), k, s, nh, nw)
 
         crop = (slice(i0, i0 + nh), slice(j0, j0 + nw))
-        act, best, cand = active[crop], best_sad[crop], best_cand[crop]
+        act, best, cand, nnz = active[crop], best_sad[crop], best_cand[crop], best_nnz[crop]
         improved = act & (sad_vals < best)
         near = act & (np.abs(sad_vals - best) < _NEAR_TIE * sad_vals)
         if near.any():
@@ -312,19 +345,20 @@ def search(
             at = (np.concatenate([ni + qy, ni + bq[:, 0]]) + r,
                   np.concatenate([nj + qx, nj + bq[:, 1]]) + r)
             ref_rows = unfold_blocks(ref, k, s, p, extra_steps=r, at=at).reshape(2, -1, bsz)
-            sad_q, sad_best = _row_sad(np.abs(cur_blocks[ni * out_w + nj] - ref_rows))
+            cur_rows = unfold_blocks(cur, k, s, p, at=(ni, nj))
+            sad_q, sad_best = _row_sad(np.abs(cur_rows - ref_rows))
             improved[near] = sad_q < sad_best
         best[improved] = sad_vals[improved]
         cand[improved] = ci
-        if params.early_stop_enabled and improved.any():
+        if improved.any():
             kept = _box(_kept(mag, tau).sum(axis=0, dtype=np.int32), k, s, nh, nw)
-            act[improved & (kept <= params.early_stop_density * bsz)] = False
+            nnz[improved] = kept[improved]
+            if params.early_stop_enabled:
+                act[improved & (kept <= params.early_stop_density * bsz)] = False
 
     steps = offsets[best_cand]
-    max_nnz = params.match_max_density * bsz
-    return _build_field(
-        spec, cur_blocks, ref, r, steps[..., 0], steps[..., 1], tau, lambda nnz: nnz <= max_nnz
-    )
+    matched = best_nnz <= params.match_max_density * bsz
+    return _build_field(spec, cur, ref, steps[..., 0], steps[..., 1], r, tau, best_nnz, matched)
 
 
 def field_from_vectors(
@@ -341,13 +375,14 @@ def field_from_vectors(
     Residuals are recomputed from the inputs so the field stays consistent
     with the frames; reconstruction from any such field is exact at tau=0
     regardless of vector quality. Vectors must be stride multiples. Every
-    position, matched or not, gets the SAD and kept count of its vector;
-    residual rows of unmatched positions are zero.
+    position, matched or not, gets the kept count (from one gather of both
+    frames at every position) and the SAD of its vector; residual rows of
+    unmatched positions are zero.
     """
     cur, ref, (out_h, out_w) = _inputs(cur_input, ref_input, spec)
     mv_dy = np.asarray(mv_dy, dtype=np.int32)
     mv_dx = np.asarray(mv_dx, dtype=np.int32)
-    matched = np.asarray(matched, dtype=bool)
+    matched = np.array(matched, dtype=bool)
     if mv_dy.shape != (out_h, out_w) or mv_dx.shape != (out_h, out_w) or matched.shape != (out_h, out_w):
         raise ValueError(f"field arrays must have shape {(out_h, out_w)}")
     k, s, p = spec.kernel_size, spec.stride, spec.padding
@@ -360,5 +395,6 @@ def field_from_vectors(
     # only zeros, as that step itself does, so the gather is clipped there.
     steps_y, steps_x = mv_dy // s, mv_dx // s
     e = min(int(max(np.abs(steps_y).max(), np.abs(steps_x).max())), -(-(k + s) // s))
-    cur_blocks = unfold_blocks(cur, k, s, p).reshape(out_h * out_w, spec.block_size)
-    return _build_field(spec, cur_blocks, ref, e, steps_y, steps_x, tau, lambda nnz: matched)
+    diff = _differences(spec, cur, ref, steps_y, steps_x, e, np.arange(out_h * out_w))
+    nnz = np.count_nonzero(_kept(np.abs(diff), tau), axis=1).astype(np.int32)
+    return _build_field(spec, cur, ref, steps_y, steps_x, e, tau, nnz.reshape(out_h, out_w), matched)

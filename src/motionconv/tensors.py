@@ -131,10 +131,12 @@ def unfold_blocks(
     convolution output dims plus ``extra_steps`` whole grid steps on every
     side; positions reaching past the frame read zeros. Flat block layout
     is (channel, dy, dx), matching ``weights.reshape(C_out, -1)``. With
-    ``at=(rows, cols)``, integer arrays of equal length indexing that grid
-    (row 0 is ``extra_steps`` steps above the output grid), only those
-    positions are gathered, as ``(len(rows), C*k*k)`` in the given order.
-    The result is always a writeable array that shares no memory.
+    ``at=(rows, cols)``, integer arrays of equal length n indexing that
+    grid (row 0 is ``extra_steps`` steps above the output grid), only those
+    positions are gathered, as ``(n, C*k*k)`` in the given order: one
+    ``(C, n)`` gather per kernel tap, indexed by the n block corners plus
+    the tap's offset, so no index array larger than n is built. The result
+    is always a writeable array that shares no memory.
     """
     c = x.shape[0]
     k, s = kernel_size, stride
@@ -148,10 +150,14 @@ def unfold_blocks(
             or cols.max() > (wp - k) // s
         ):
             raise ValueError("unfold_blocks: a gathered position lies outside the grid")
-        offsets = (np.arange(c)[:, None, None] * (hp * wp)
-                   + np.arange(k)[:, None] * wp + np.arange(k)).ravel()
         corners = rows * (s * wp) + cols * s
-        return np.take(padded.ravel(), corners.reshape(-1, 1) + offsets)
+        flat = padded.reshape(c, hp * wp)
+        out = np.empty((corners.size, c * k * k), dtype=np.float32)
+        taps = out.reshape(corners.size, c, k, k)
+        for dy in range(k):
+            for dx in range(k):
+                taps[:, :, dy, dx] = flat[:, corners + (dy * wp + dx)].T
+        return out
     win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
     win = win[:, ::s, ::s]  # (C, grid_h, grid_w, k, k)
     grid_h, grid_w = win.shape[1], win.shape[2]
@@ -232,15 +238,21 @@ def require_keys(meta, keys, source: str, allowed=None) -> None:
 
 
 def load_weights(path, sidecar=None) -> ConvSpec:
-    """Load a ConvSpec written by ``save_weights``."""
+    """Load a ConvSpec written by ``save_weights``. The sidecar must give
+    positive integer channel counts and kernel size and a JSON bool
+    ``has_bias``; any error it causes names the sidecar."""
     path = Path(path)
     sidecar_path = Path(sidecar) if sidecar is not None else Path(str(path) + ".json")
+    source = f"weights sidecar {sidecar_path}"
     meta = json.loads(sidecar_path.read_text())
     require_keys(
-        meta,
-        ("in_channels", "out_channels", "kernel_size", "stride", "padding", "has_bias"),
-        f"weights sidecar {sidecar_path}",
+        meta, ("in_channels", "out_channels", "kernel_size", "stride", "padding", "has_bias"), source
     )
+    for key in ("in_channels", "out_channels", "kernel_size"):
+        if not is_int(meta[key]) or meta[key] < 1:
+            raise ValueError(f"{source}: {key!r} must be a positive integer, got {meta[key]!r}")
+    if not isinstance(meta["has_bias"], bool):
+        raise ValueError(f"{source}: 'has_bias' must be true or false, got {meta['has_bias']!r}")
     c_out, c_in, k = meta["out_channels"], meta["in_channels"], meta["kernel_size"]
     n_weights = c_out * c_in * k * k
     raw = np.fromfile(path, dtype="<f4")
@@ -251,4 +263,7 @@ def load_weights(path, sidecar=None) -> ConvSpec:
         )
     weights = raw[:n_weights].reshape(c_out, c_in, k, k)
     bias = raw[n_weights:] if meta["has_bias"] else None
-    return ConvSpec(weights=weights, bias=bias, stride=meta["stride"], padding=meta["padding"])
+    try:
+        return ConvSpec(weights=weights, bias=bias, stride=meta["stride"], padding=meta["padding"])
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc

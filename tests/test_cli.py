@@ -144,6 +144,21 @@ class TestNetworkLoading:
                      "--out", str(tmp_path / "o")]) == 2
         assert "stride must be an integer" in capsys.readouterr().err
 
+    def test_string_has_bias_in_weights_sidecar_is_usage_error(self, tmp_path, capsys):
+        # "true" is a string, not a JSON bool, even where the file holds a bias
+        from motionconv.synth import random_conv_spec
+        from motionconv.tensors import save_weights
+
+        sidecar = save_weights(random_conv_spec(np.random.default_rng(3), 3, 6, 3, 1),
+                               tmp_path / "l0.bin")
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "has_bias": "true"}))
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps({"layers": [{"weights": "l0.bin"}]}))
+        assert main(["run", "--scene", STATIC_SCENE, "--net", str(net_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(sidecar) in err and "'has_bias'" in err
+
     def test_channel_mismatch_is_usage_error(self, tmp_path):
         from motionconv.synth import random_conv_spec
         from motionconv.tensors import save_weights

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from motionconv import motion
 from motionconv.layer import MotionCompLayer
 from motionconv.ledger import FlopsLedger
 from motionconv.motion import MotionParams, field_from_vectors, search
@@ -157,6 +158,41 @@ def test_search_on_a_small_active_box(corner, stride, padding):
     np.testing.assert_array_equal(field.nnz, [[b.nnz for b in row] for row in blocks])
     # most positions stopped after one candidate, so the box was small
     assert me_flops < 2 * 2 * spec.block_size * field.positions
+
+
+def test_nonkey_path_gathers_only_rows_the_gemm_reads(monkeypatch):
+    # A static textured frame with one 6x6 block moving one pixel: with early
+    # stopping on, the background retires after candidate (0, 0) with empty
+    # residuals, and only matched rows with kept entries may be gathered, once
+    # from each frame. Near-ties would add rows of their own (one current and
+    # two reference rows each); uniform random texture gives none, so the
+    # builder's two gathers are the only ones.
+    rng = np.random.default_rng(21)
+    c, h, w = 3, 32, 32
+    ref = rng.random((c, h, w)).astype(np.float32)
+    cur = ref.copy()
+    cur[:, 10:16, 11:17] = ref[:, 10:16, 10:16]
+    spec = ConvSpec(weights=rng.uniform(-0.5, 0.5, (4, c, 3, 3)).astype(np.float32), padding=1)
+    params = MotionParams(search_range=1, threshold=0.01, early_stop_density=0.3)
+    field = search(cur, ref, spec, params, None)
+    needed = int(np.count_nonzero(field.matched & (field.nnz > 0)))
+    assert 0 < needed < field.positions // 10
+
+    gathered = []
+    real = motion.unfold_blocks
+
+    def counting(x, *args, **kwargs):
+        out = real(x, *args, **kwargs)
+        gathered.append(out.size // spec.block_size)
+        return out
+
+    layer = MotionCompLayer(spec, params)
+    layer.forward_key(ref, FlopsLedger())
+    monkeypatch.setattr(motion, "unfold_blocks", counting)
+    layer.forward_nonkey(cur, FlopsLedger())
+    assert layer.last_stats.matched == int(np.count_nonzero(field.matched))
+    assert len(gathered) == 2
+    assert sum(gathered) == 2 * needed
 
 
 @settings(deadline=None, max_examples=100)

@@ -348,6 +348,27 @@ class TestWeightsIO:
         with pytest.raises(ValueError, match="stride must be an integer"):
             load_weights(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("kernel_size", 3.0),
+        ("kernel_size", -3),
+        ("in_channels", "2"),
+        ("in_channels", True),
+        ("out_channels", 0),
+        ("has_bias", "false"),
+        ("has_bias", 1),
+        ("stride", 1.5),
+        ("padding", -1),
+    ])
+    def test_sidecar_with_mistyped_value_names_file_and_key(self, tmp_path, key, value):
+        import json
+        import re
+
+        path = tmp_path / "w.bin"
+        sidecar = save_weights(make_spec(np.random.default_rng(16), 2, 2, 3), path)
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
+        with pytest.raises(ValueError, match=f"{re.escape(str(sidecar))}.*{key}"):
+            load_weights(path)
+
     @pytest.mark.parametrize(
         "key", ["in_channels", "out_channels", "kernel_size", "stride", "padding", "has_bias"]
     )
