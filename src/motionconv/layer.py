@@ -5,11 +5,15 @@ Key frames run the dense convolution and cache both the input and the
 matched outputs from the cached output map, add the convolution of the
 sparse residual, and fall back to dense per-position convolution where
 no usable match exists; the fallback gathers the receptive fields of
-those positions only. Copies, residual adds and fallback writes index the
-output as ``(C_out, H*W)`` with one raster index per position. The
-activation, when configured, is applied after reconstruction so the next
-layer always sees true post-activation features; the cache keeps
-pre-activation values because only those decompose linearly.
+those positions only. The output is written as ``(C_out, H*W)``. The
+residual GEMM turns the field's tap-major columns into the compensated
+outputs (prediction plus convolved residual) of the positions they list;
+one column gather then writes every position, from those columns or from
+the cached output, and the fallback overwrites every position the
+prediction does not serve, demoted ones included. The activation, when
+configured, is applied after reconstruction so the next layer always
+sees true post-activation features; the cache keeps pre-activation
+values because only those decompose linearly.
 """
 
 from __future__ import annotations
@@ -99,6 +103,33 @@ class NonKeyStats:
         if self.matched == 0:
             return 0.0
         return self.nnz_total / (self.matched * self.block_size)
+
+
+def _check_field(field: MotionField, out_h: int, out_w: int, block_size: int) -> None:
+    """Raise ``LayerError`` unless an externally supplied field fits the
+    ``out_h`` x ``out_w`` output grid and carries a residual that
+    ``forward_nonkey`` can index: ``residual_at`` a strictly increasing
+    1-D integer array of raster indices within the grid, and ``residual``
+    an array of ``(block_size, len(residual_at))`` columns."""
+    if (field.out_h, field.out_w) != (out_h, out_w):
+        raise LayerError(
+            f"motion field grid {(field.out_h, field.out_w)} does not match "
+            f"output grid {(out_h, out_w)}"
+        )
+    residual, at = getattr(field, "residual", None), getattr(field, "residual_at", None)
+    if not isinstance(residual, np.ndarray):
+        raise LayerError("motion field carries no residual array")
+    if not isinstance(at, np.ndarray) or at.ndim != 1 or not np.issubdtype(at.dtype, np.integer):
+        raise LayerError("motion field residual_at must be a 1-D integer array")
+    if (at[1:] <= at[:-1]).any():
+        raise LayerError("motion field residual_at must be strictly increasing")
+    if at.size and (at[0] < 0 or at[-1] >= out_h * out_w):
+        raise LayerError(f"motion field residual_at lies outside [0, {out_h * out_w})")
+    if residual.shape != (block_size, at.size):
+        raise LayerError(
+            f"motion field residual has shape {residual.shape}, "
+            f"expected {(block_size, at.size)}"
+        )
 
 
 class MotionCompLayer:
@@ -197,12 +228,15 @@ class MotionCompLayer:
 
         Matched positions copy the cached output at the vector-displaced grid
         position (a free copy in the FLOPs model) and add the convolution of
-        their thresholded residual rows; rows with no kept entry are pure
+        their thresholded residual; positions with no kept entry are pure
         copies. No bias is re-added there because the prediction already
         carries it. Unmatched positions, and matched positions whose
         prediction would fall outside the output grid, are computed densely
         with bias and charged as unmatched work. ``field`` overrides the
-        internal search (residuals must have been built against the cache).
+        internal search (residuals must have been built against the cache);
+        its ``residual`` must be ``(block_size, len(residual_at))`` columns
+        for the strictly increasing raster indices ``residual_at``, as
+        ``motion`` builds them, or ``LayerError`` is raised.
         """
         if self.cache is None:
             raise LayerError("no cached reference; process a key frame first")
@@ -218,18 +252,8 @@ class MotionCompLayer:
         bsz = spec.block_size
         if field is None:
             field = search(x, self.cache.prev_input, spec, self.params, ledger)
-        elif (field.out_h, field.out_w) != (out_h, out_w):
-            raise LayerError(
-                f"motion field grid {(field.out_h, field.out_w)} does not match "
-                f"output grid {(out_h, out_w)}"
-            )
-        elif not isinstance(getattr(field, "residual", None), np.ndarray):
-            raise LayerError("motion field carries no residual array")
-        elif field.residual.shape != (out_h * out_w, bsz):
-            raise LayerError(
-                f"motion field residual has shape {field.residual.shape}, "
-                f"expected {(out_h * out_w, bsz)}"
-            )
+        else:
+            _check_field(field, out_h, out_w, bsz)
         s = spec.stride
         c_out = spec.out_channels
 
@@ -245,25 +269,30 @@ class MotionCompLayer:
         rows = np.flatnonzero(served)
         nnz_total = 0
         if rows.size:
-            src = (src_i * out_w + src_j).ravel()[rows]
-            flat[:, rows] = np.take(self.cache.prev_output.reshape(c_out, -1), src, axis=1)
+            # One take writes every position from the cached output, or from
+            # the compensated columns appended to it for positions listed in
+            # residual_at. Sources of unserved positions are clipped and the
+            # fallback overwrites them, demoted listed positions included.
+            src = (src_i * out_w + src_j).ravel()
+            source = self.cache.prev_output.reshape(c_out, -1)
             ledger.add_pred_bytes(4 * c_out * rows.size)
             if self.compensate:
-                # rows with an empty residual are pure copies
-                row_nnz = field.nnz.ravel()[rows]
-                nz = rows[row_nnz > 0]
-                nnz_total = int(row_nnz.sum())
-                contrib = field.residual[nz] @ spec.weights.reshape(c_out, -1).T
+                nnz_total = int(field.nnz.ravel()[rows].sum())
+                nz = field.residual_at
+                comp = spec.weights.reshape(c_out, -1) @ field.residual
                 if self.post_scale is not None:
-                    contrib = contrib * self.post_scale
-                flat[:, nz] += contrib.T
+                    comp *= self.post_scale[:, None]
+                comp += np.take(source, src[nz], axis=1, mode="clip")
+                source = np.concatenate([source, comp], axis=1)
+                src[nz] = out_h * out_w + np.arange(nz.size)
                 ledger.charge("res", 2 * nnz_total * c_out)
+            np.take(source, src, axis=1, out=flat, mode="clip")
 
         fallback = np.flatnonzero(~served)
         if fallback.size:
             at = np.divmod(fallback, out_w)
-            blocks = unfold_blocks(x, spec.kernel_size, s, spec.padding, at=at)
-            flat[:, fallback] = self._affine(dense_rows(blocks, spec, ledger, "unmatched"))
+            cols = unfold_blocks(x, spec.kernel_size, s, spec.padding, at=at)
+            flat[:, fallback] = self._affine(dense_rows(cols.T, spec, ledger, "unmatched"))
 
         self.cache = LayerCache(prev_input=x.copy(), prev_output=out)
         self.last_stats = NonKeyStats(

@@ -11,15 +11,16 @@ sums, so near-ties are re-decided on per-block sums, and every decision
 is the one per-block sums give. The same loop box-sums the kept entries
 of every candidate that improves a position, so each position leaves it
 with its winner's kept count. Neither frame is gathered whole: the
-near-tie check gathers the rows of its near positions only, and one
+near-tie check gathers the blocks of its near positions only, and one
 builder turns per-position vectors, kept counts and match flags into a
-``MotionField`` by gathering both frames only at the rows the residual
+``MotionField`` by gathering both frames only at the blocks the residual
 GEMM reads, matched positions with a nonzero kept count. It thresholds
-their differences into one dense residual array (a multiply by the keep
-mask, no select) whose other rows stay zero. ``search`` feeds it the
-winners and ``field_from_vectors`` externally chosen vectors. Matches
-whose residual stays too dense are handed back to the dense fallback
-path. The SAD of each position's vector is computed on first access to
+their differences (a multiply by the keep mask, no select) into one
+compact residual: a tap-major column per listed position, the layout the
+layer's GEMM takes as it is. ``search`` feeds it the winners and
+``field_from_vectors`` externally chosen vectors. Matches whose residual
+stays too dense are handed back to the dense fallback path. The SAD of
+each position's vector is computed on first access to
 ``MotionField.sad``, never on the pipeline path.
 """
 
@@ -78,12 +79,15 @@ class MotionField:
     ``mv_dy``/``mv_dx``/``nnz`` hold the winning candidate for every
     position, including unmatched ones; so does ``sad``, which is computed
     from the frames the field was built from on first access (read it
-    before editing those frames in place). ``residual`` is ``(out_h *
-    out_w, block_size)`` float32 in raster order and ``unfold_blocks``
-    layout: the thresholded difference of each matched position, zero for
-    entries below the threshold and for every row of an unmatched
-    position. ``alpha`` is the matched fraction, ``beta`` the mean
-    residual density over matched positions.
+    before editing those frames in place). ``residual_at`` lists, as
+    sorted raster indices, the matched positions with ``nnz > 0``: the
+    only positions with a nonzero residual. ``residual`` is ``(block_size,
+    len(residual_at))`` float32 in the tap-major ``unfold_blocks(...,
+    at=)`` layout: column n is the thresholded difference of position
+    ``residual_at[n]``, zero for entries below the threshold. Every other
+    position's residual is zero and is not stored. ``alpha`` is the
+    matched fraction, ``beta`` the mean residual density over matched
+    positions.
     """
 
     out_h: int
@@ -95,13 +99,14 @@ class MotionField:
     mv_dx: np.ndarray
     nnz: np.ndarray
     residual: np.ndarray
-    # every position's current-minus-reference row at its vector, on demand
-    _diff_rows: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    residual_at: np.ndarray
+    # every position's current-minus-reference column at its vector, on demand
+    _diff_cols: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     @cached_property
     def sad(self) -> np.ndarray:
-        """SAD of every position's winning candidate, summed over its row."""
-        return _row_sad(np.abs(self._diff_rows())).reshape(self.out_h, self.out_w)
+        """SAD of every position's winning candidate, summed over its block."""
+        return _block_sad(self._diff_cols()).reshape(self.out_h, self.out_w)
 
     @property
     def positions(self) -> int:
@@ -160,14 +165,18 @@ def _candidate_offsets(search_range: int) -> list[tuple[int, int]]:
 def _kept(mag: np.ndarray, tau: float) -> np.ndarray:
     """Entries a residual keeps, given the magnitudes of the differences:
     magnitude >= tau, boundary values included. Zero differences never
-    count, so tau=0 keeps exactly the nonzero differences."""
-    return (mag >= tau) & (mag != 0)
+    count, so tau=0 keeps exactly the nonzero differences. For magnitudes
+    (never negative or NaN) this is one comparison either way."""
+    return mag >= tau if tau > 0 else mag != 0
 
 
-def _row_sad(mag: np.ndarray) -> np.ndarray:
-    """SAD of every row (last axis) of gathered magnitudes;
+def _block_sad(diff: np.ndarray) -> np.ndarray:
+    """SAD of every block of gathered differences, blocks along axis 0 as
+    ``unfold_blocks(..., at=)`` returns them. Each block is copied to a
+    contiguous row and summed there, the order of a per-block sum;
     ``MotionField.sad`` holds this sum."""
-    return np.sum(mag, axis=-1, dtype=np.float64)
+    rows = np.ascontiguousarray(np.moveaxis(np.abs(diff), 0, -1))
+    return np.sum(rows, axis=-1, dtype=np.float64)
 
 
 def _inputs(cur_input: FeatureMap, ref_input: FeatureMap, spec: ConvSpec):
@@ -188,7 +197,7 @@ def _differences(
     e: int,
     positions: np.ndarray,
 ) -> np.ndarray:
-    """``(len(positions), block_size)`` current blocks minus reference
+    """``(block_size, len(positions))`` current blocks minus reference
     blocks for the raster indices ``positions``, each reference block read
     at the position's vector in grid steps, its source clipped to ``e``
     grid steps beyond the output grid."""
@@ -218,15 +227,13 @@ def _build_field(
 
     Both frames are gathered only at matched positions with ``nnz > 0``,
     each reference block at its source clipped to ``e`` grid steps beyond
-    the output grid; their differences, times the keep mask, are the only
-    nonzero rows of the residual (masked entries of negative differences
-    read -0.0, which equals 0).
+    the output grid; their differences, times the keep mask, are the
+    residual's columns (masked entries of negative differences read -0.0,
+    which equals 0).
     """
     out_h, out_w = steps_y.shape
     need = np.flatnonzero(matched & (nnz > 0))
     diff = _differences(spec, cur, ref, steps_y, steps_x, e, need)
-    residual = np.zeros((out_h * out_w, spec.block_size), dtype=np.float32)
-    residual[need] = np.multiply(diff, _kept(np.abs(diff), tau), out=diff)
     return MotionField(
         out_h=out_h,
         out_w=out_w,
@@ -236,15 +243,16 @@ def _build_field(
         mv_dy=steps_y * spec.stride,
         mv_dx=steps_x * spec.stride,
         nnz=nnz,
-        residual=residual,
-        _diff_rows=lambda: _differences(
+        residual=np.multiply(diff, _kept(np.abs(diff), tau), out=diff),
+        residual_at=need,
+        _diff_cols=lambda: _differences(
             spec, cur, ref, steps_y, steps_x, e, np.arange(out_h * out_w)
         ),
     )
 
 
 # Box SADs within this relative gap of the best so far are re-decided on
-# gathered rows; see ``search``.
+# gathered blocks; see ``search``.
 _NEAR_TIE = 1e-9
 
 
@@ -278,9 +286,9 @@ def search(
     minimum-SAD candidate among those evaluated (ties keep the earlier
     candidate), and a position is matched when its kept count does not
     exceed ``match_max_density`` of the block. The residual is built once,
-    after the loop, from rows of both frames gathered at matched positions
-    with a nonzero kept count only. Candidate reads beyond the reference
-    frame see zeros.
+    after the loop, from blocks of both frames gathered at matched
+    positions with a nonzero kept count only. Candidate reads beyond the
+    reference frame see zeros.
 
     Each candidate is scored on whole planes, cropped to the bounding box
     of the positions still active: one float32 difference of the
@@ -291,17 +299,17 @@ def search(
     sums of the per-pixel kept counts, so they are exact.
 
     The box sums add the block's n = k^2 C_in non-negative terms in another
-    order than the row sum ``MotionField.sad`` reports. Any order of
+    order than the per-block sum ``MotionField.sad`` reports. Any order of
     adding them lies within about (n - 1) * 2^-53 of the exact sum,
     relatively, and gives 0 exactly when every term is 0. Two sums whose
-    row order and box order disagree therefore lie within about
+    per-block order and box order disagree therefore lie within about
     4 (n - 1) * 2^-53 of each other, under ``_NEAR_TIE`` for any block of
     fewer than two million elements. So where a candidate's box SAD is
     nonzero and within ``_NEAR_TIE`` of the best so far, relatively, both
-    are recomputed as row sums, on current and reference rows gathered for
-    those positions only, and those are compared. Every comparison, and so
-    every winner, early stop and ledger charge, is the one the row sums
-    give.
+    are recomputed as per-block sums, on current and reference blocks
+    gathered for those positions only, and those are compared. Every
+    comparison, and so every winner, early stop and ledger charge, is the
+    one the per-block sums give.
     """
     cur, ref, (out_h, out_w) = _inputs(cur_input, ref_input, spec)
     k, s, p = spec.kernel_size, spec.stride, spec.padding
@@ -341,12 +349,12 @@ def search(
             ni, nj = np.nonzero(near)
             bq = offsets[cand[near]]
             ni, nj = ni + i0, nj + j0
-            # reference rows of this candidate, then of the best so far
+            # reference blocks of this candidate, then of the best so far
             at = (np.concatenate([ni + qy, ni + bq[:, 0]]) + r,
                   np.concatenate([nj + qx, nj + bq[:, 1]]) + r)
-            ref_rows = unfold_blocks(ref, k, s, p, extra_steps=r, at=at).reshape(2, -1, bsz)
-            cur_rows = unfold_blocks(cur, k, s, p, at=(ni, nj))
-            sad_q, sad_best = _row_sad(np.abs(cur_rows - ref_rows))
+            ref_cols = unfold_blocks(ref, k, s, p, extra_steps=r, at=at).reshape(bsz, 2, -1)
+            cur_cols = unfold_blocks(cur, k, s, p, at=(ni, nj))
+            sad_q, sad_best = _block_sad(cur_cols[:, None] - ref_cols)
             improved[near] = sad_q < sad_best
         best[improved] = sad_vals[improved]
         cand[improved] = ci
@@ -376,8 +384,8 @@ def field_from_vectors(
     with the frames; reconstruction from any such field is exact at tau=0
     regardless of vector quality. Vectors must be stride multiples. Every
     position, matched or not, gets the kept count (from one gather of both
-    frames at every position) and the SAD of its vector; residual rows of
-    unmatched positions are zero.
+    frames at every position) and the SAD of its vector; unmatched
+    positions carry no residual column.
     """
     cur, ref, (out_h, out_w) = _inputs(cur_input, ref_input, spec)
     mv_dy = np.asarray(mv_dy, dtype=np.int32)
@@ -396,5 +404,5 @@ def field_from_vectors(
     steps_y, steps_x = mv_dy // s, mv_dx // s
     e = min(int(max(np.abs(steps_y).max(), np.abs(steps_x).max())), -(-(k + s) // s))
     diff = _differences(spec, cur, ref, steps_y, steps_x, e, np.arange(out_h * out_w))
-    nnz = np.count_nonzero(_kept(np.abs(diff), tau), axis=1).astype(np.int32)
+    nnz = np.count_nonzero(_kept(np.abs(diff), tau), axis=0).astype(np.int32)
     return _build_field(spec, cur, ref, steps_y, steps_x, e, tau, nnz.reshape(out_h, out_w), matched)

@@ -133,10 +133,12 @@ def unfold_blocks(
     is (channel, dy, dx), matching ``weights.reshape(C_out, -1)``. With
     ``at=(rows, cols)``, integer arrays of equal length n indexing that
     grid (row 0 is ``extra_steps`` steps above the output grid), only those
-    positions are gathered, as ``(n, C*k*k)`` in the given order: one
-    ``(C, n)`` gather per kernel tap, indexed by the n block corners plus
-    the tap's offset, so no index array larger than n is built. The result
-    is always a writeable array that shares no memory.
+    positions are gathered, tap-major: ``(C*k*k, n)`` columns in the same
+    (channel, dy, dx) row order, one column per position in the given
+    order, so ``weights.reshape(C_out, -1) @ cols`` is the ``(C_out, n)``
+    output. One ``take`` reads them through a ``(k*k, n)`` index of block
+    corners plus tap offsets. The result is always a writeable array that
+    shares no memory.
     """
     c = x.shape[0]
     k, s = kernel_size, stride
@@ -150,13 +152,12 @@ def unfold_blocks(
             or cols.max() > (wp - k) // s
         ):
             raise ValueError("unfold_blocks: a gathered position lies outside the grid")
-        corners = rows * (s * wp) + cols * s
-        flat = padded.reshape(c, hp * wp)
-        out = np.empty((corners.size, c * k * k), dtype=np.float32)
-        taps = out.reshape(corners.size, c, k, k)
-        for dy in range(k):
-            for dx in range(k):
-                taps[:, :, dy, dx] = flat[:, corners + (dy * wp + dx)].T
+        taps = (np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1, 1)
+        index = taps + (rows * (s * wp) + cols * s)
+        out = np.empty((c * k * k, rows.size), dtype=np.float32)
+        # checked above, so "clip" never clips; it lets take write to out unbuffered
+        np.take(padded.reshape(c, hp * wp), index, axis=1, mode="clip",
+                out=out.reshape(c, k * k, -1))
         return out
     win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
     win = win[:, ::s, ::s]  # (C, grid_h, grid_w, k, k)

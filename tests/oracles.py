@@ -6,6 +6,8 @@ below them (``SparseBlock``, ``threshold_residual``, ``sad``,
 ``extract_block``, ``read_block_at``, ``conv_sparse_block``) compute one
 receptive field at a time, as the pipeline once did; ``loop_forward_nonkey``
 composes them into a position-by-position non-key layer forward.
+``dense_residual`` expands a field's compact residual columns into one row
+per position, the form the per-position references compare with.
 """
 
 from dataclasses import dataclass, field
@@ -287,3 +289,12 @@ def loop_forward_nonkey(layer_spec, ref_input, ref_output, x, mv_dy, mv_dx, matc
                 if ledger is not None:
                     ledger.charge("unmatched", 2 * spec.block_size * c_out)
     return out
+
+
+def dense_residual(field) -> np.ndarray:
+    """``(positions, block_size)`` residual rows of a ``MotionField``: each
+    of its columns at the raster index ``residual_at`` lists for it, zero
+    rows everywhere else."""
+    rows = np.zeros((field.positions, field.block_size), dtype=np.float32)
+    rows[field.residual_at] = field.residual.T
+    return rows

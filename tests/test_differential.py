@@ -1,11 +1,12 @@
 """The vectorised residual path against the per-position references.
 
 ``search``, ``field_from_vectors`` and ``MotionCompLayer.forward_nonkey``
-work on one dense residual array; ``tests/oracles.py`` keeps the
-one-block-at-a-time kernels they replaced. Random small layer stacks run
-through both. Inputs sit on a 1/256 grid, so every SAD is an exact float64
-sum, ties (which the search breaks by candidate order) are common, and
-differences equal to a threshold on that grid hit its boundary.
+work on one compact residual (``MotionField.residual`` columns at
+``residual_at``); ``tests/oracles.py`` keeps the one-block-at-a-time
+kernels they replaced. Random small layer stacks run through both.
+Inputs sit on a 1/256 grid, so every SAD is an exact float64 sum, ties
+(which the search breaks by candidate order) are common, and differences
+equal to a threshold on that grid hit its boundary.
 
 ``search`` scores candidates with box sums, which add in another order
 than the per-block sum. Two more cases check what the 1/256 grid cannot
@@ -28,7 +29,8 @@ from motionconv.synth import SceneSpec, generate, random_conv_spec
 from motionconv.tensors import ConvSpec
 
 from oracles import (
-    extract_block, loop_forward_nonkey, loop_search, read_block_at, sad, threshold_residual,
+    dense_residual, extract_block, loop_forward_nonkey, loop_search, read_block_at, sad,
+    threshold_residual,
 )
 
 
@@ -75,13 +77,15 @@ def test_search_matches_per_position_loop(case):
     np.testing.assert_array_equal(field.sad, sad_arr)
     assert led.me_flops == loop_led.me_flops
     assert field.residual.dtype == np.float32
-    assert field.residual.shape == (field.positions, spec.block_size)
+    np.testing.assert_array_equal(field.residual_at, np.flatnonzero(matched & (field.nnz > 0)))
+    assert field.residual.shape == (spec.block_size, field.residual_at.size)
+    residual = dense_residual(field)
     for i in range(field.out_h):
         for j in range(field.out_w):
             blk = blocks[i][j]
             assert field.nnz[i, j] == blk.nnz
             want = block_row(blk, spec) if matched[i, j] else np.zeros(spec.block_size, np.float32)
-            np.testing.assert_array_equal(field.residual[i * field.out_w + j], want)
+            np.testing.assert_array_equal(residual[i * field.out_w + j], want)
 
 
 def mirror_stack(seed):
@@ -220,9 +224,10 @@ def test_field_from_far_vectors_matches_block_reads(case, reach):
     mv_dx = rng.integers(-reach, reach + 1, size=(out_h, out_w)).astype(np.int32) * s
     matched = rng.random((out_h, out_w)) < 0.8
     field = field_from_vectors(cur, ref, spec, mv_dy, mv_dx, matched, tau=params.threshold)
+    residual = dense_residual(field)
     for i in range(out_h):
         for j in range(out_w):
-            row = field.residual[i * out_w + j]
+            row = residual[i * out_w + j]
             ref_blk = read_block_at(ref, i * s - p + int(mv_dy[i, j]), j * s - p + int(mv_dx[i, j]), k)
             cur_blk = extract_block(cur, spec, i, j)
             blk = threshold_residual(cur_blk, ref_blk, params.threshold)
@@ -339,12 +344,35 @@ def test_forward_nonkey_demotes_predictions_off_the_grid(case, reach):
 
 @settings(deadline=None, max_examples=60)
 @given(stacks())
+def test_forward_nonkey_demotes_positions_that_carry_a_residual(case):
+    # every position matched at tau=0, border vectors one grid step off the
+    # grid: demoted positions keep residual columns, which must not reach
+    # their dense output
+    spec, params, cur, ref, _ = case
+    params = params.updated(threshold=0.0)
+    out_h, out_w = spec.out_shape(cur.shape[1], cur.shape[2])
+    s = spec.stride
+    steps_y = np.zeros((out_h, out_w), dtype=np.int32)
+    steps_x = np.zeros((out_h, out_w), dtype=np.int32)
+    steps_y[0], steps_y[-1] = -1, 1
+    steps_x[:, 0], steps_x[:, -1] = -1, 1
+    field = field_from_vectors(cur, ref, spec, steps_y * s, steps_x * s,
+                               np.ones((out_h, out_w), bool), tau=0.0)
+    layer = forward_nonkey_as_loop(spec, params, cur, ref, field)
+    off = (steps_y != 0) | (steps_x != 0)
+    assert layer.last_stats.demoted == np.count_nonzero(off)
+    assert (field.nnz[off] > 0).any()
+
+
+@settings(deadline=None, max_examples=60)
+@given(stacks())
 def test_masked_residual_entries_are_zero(case):
     # the residual is the difference times its keep mask, so entries masked
     # out of a negative difference read -0.0, which must equal zero
     spec, params, cur, ref, _ = case
     field = search(cur, ref, spec, params, None)
     k, s, p = spec.kernel_size, spec.stride, spec.padding
+    residual = dense_residual(field)
     for i in range(field.out_h):
         for j in range(field.out_w):
             cur_blk = extract_block(cur, spec, i, j)
@@ -352,6 +380,6 @@ def test_masked_residual_entries_are_zero(case):
                                     j * s - p + int(field.mv_dx[i, j]), k)
             diff = (cur_blk - ref_blk).ravel()
             kept = field.matched[i, j] & (np.abs(diff) >= params.threshold) & (diff != 0)
-            row = field.residual[i * field.out_w + j]
+            row = residual[i * field.out_w + j]
             np.testing.assert_array_equal(row[kept], diff[kept])
             assert (row[~kept] == 0).all()

@@ -101,8 +101,26 @@ class TestResetAndCacheContract:
 
     def test_external_field_residual_shape_rejected(self):
         layer, field, x1 = self._layer_and_field(41)
-        field.residual = field.residual[:, :-1]
+        field.residual = field.residual[:-1]
         with pytest.raises(LayerError, match="residual has shape"):
+            layer.forward_nonkey(x1, FlopsLedger(), field=field)
+
+    @pytest.mark.parametrize("edit, match", [
+        (None, "1-D integer"),
+        (lambda at: at.reshape(1, -1), "1-D integer"),
+        (lambda at: at.astype(np.float64), "1-D integer"),
+        (lambda at: np.concatenate([at[:1], at[:-1]]), "strictly increasing"),
+        (lambda at: at - 1, "outside"),
+        (lambda at: at + 1, "outside"),
+    ], ids=["missing", "2-d", "float", "repeated", "negative", "past-the-grid"])
+    def test_external_field_residual_at_rejected(self, edit, match):
+        layer, field, x1 = self._layer_and_field(42)
+        assert field.residual_at.tolist() == list(range(field.positions))
+        if edit is None:
+            del field.residual_at
+        else:
+            field.residual_at = edit(field.residual_at)
+        with pytest.raises(LayerError, match=match):
             layer.forward_nonkey(x1, FlopsLedger(), field=field)
 
 

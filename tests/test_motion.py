@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionconv.ledger import FlopsLedger
-from motionconv.motion import MotionParams, field_from_vectors, search
+from motionconv.motion import MotionParams, _kept, field_from_vectors, search
 from motionconv.synth import SceneSpec, expected_motion, generate
 from motionconv.tensors import ConvSpec
 
@@ -77,6 +77,20 @@ class TestThresholdResidual:
         block = np.zeros((1, 3, 3), dtype=np.float32)
         with pytest.raises(ValueError, match=">= 0"):
             threshold_residual(block, block, -0.1)
+
+
+class TestKept:
+    @pytest.mark.parametrize("tau", [0.0, 2.0**-149, 0.01])
+    def test_one_comparison_equals_threshold_and_nonzero(self, tau):
+        # magnitudes at 0, around the float32 tau boundary, subnormal and inf,
+        # then a plane of small random magnitudes
+        t = np.float32(tau)
+        edges = np.array([0.0, 2.0**-149, 2.0**-148, 2.0**-127, np.nextafter(t, np.float32(0)), t,
+                          np.nextafter(t, np.float32(np.inf)), 0.01, 1.0, np.inf], dtype=np.float32)
+        plane = np.abs(np.random.default_rng(3).normal(0, 0.01, (2, 9, 9))).astype(np.float32)
+        plane.ravel()[: edges.size] = edges
+        for mag in (edges, plane):
+            np.testing.assert_array_equal(_kept(mag, tau), (mag >= tau) & (mag != 0))
 
 
 class TestMotionParams:

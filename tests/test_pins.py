@@ -5,7 +5,8 @@
 that differs. This runs one pass for the first three seeds of each through
 ``perfbench/workloads.py`` and compares it the way ``perfbench/gate.py``
 does (both imported read-only), so that ledger drift shows in the test
-suite without running the benchmark.
+suite without running the benchmark. It also checks that the functions
+``perfbench/tracing.py`` wraps by attribute name are still there.
 """
 
 import importlib.util
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from motionconv import layer, motion, tensors
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -38,3 +41,12 @@ def test_ledger_equals_pin(workload, seed, tmp_path, monkeypatch):
     rec = wl.run_pass(wl.setup(wl.WORKLOADS[workload], seed))
     assert rec.exit_code == 0 and rec.error is None
     assert {k: rec.ledger[k] for k in gate.COUNT_KEYS} == {k: pin[k] for k in gate.COUNT_KEYS}
+
+
+def test_traced_attributes_exist():
+    # a traced benchmark run replaces these module attributes by name, and
+    # fails to start when one is renamed or removed
+    assert layer.search is motion.search
+    assert layer.conv2d is tensors.conv2d
+    assert layer.unfold_blocks is tensors.unfold_blocks
+    assert motion.unfold_blocks is tensors.unfold_blocks

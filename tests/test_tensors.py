@@ -213,11 +213,11 @@ class TestUnfoldBlocks:
         flat = np.arange(count) % (grid_h * grid_w)
         rows, cols = np.divmod(np.random.default_rng(seed).permutation(flat), grid_w)
         got = unfold_blocks(x, k, s, padding, extra_steps=extra, at=(rows, cols))
-        assert got.shape == (count, c * k * k) and got.dtype == np.float32
-        np.testing.assert_array_equal(got, full[rows, cols])
+        assert got.shape == (c * k * k, count) and got.dtype == np.float32
+        np.testing.assert_array_equal(got.T, full[rows, cols])
         for n, (i, j) in enumerate(zip(rows, cols)):
             want = naive_extract_block(x, k, s, padding, int(i) - extra, int(j) - extra)
-            np.testing.assert_array_equal(got[n], want.ravel())
+            np.testing.assert_array_equal(got[:, n], want.ravel())
 
     def test_rejects_positions_outside_the_grid(self):
         x = np.ones((2, 6, 6), dtype=np.float32)
