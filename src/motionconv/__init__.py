@@ -15,12 +15,12 @@ from .analysis import (
     write_report_csv,
     write_report_json,
 )
-from .bayer import BayerFrame, load_raw_sequence, mosaic, pack, save_raw_sequence, unpack
+from .bayer import BayerFrame, load_raw_sequence, mosaic, pack, save_raw_sequence
 from .layer import LayerCache, MotionCompLayer
 from .ledger import FlopsLedger
 from .motion import MotionField, MotionParams, field_from_vectors, search
-from .scheduler import GopConfig, Network, RunResult, run_sequence, segment
-from .synth import SceneSpec, expected_motion, generate, random_conv_spec
+from .scheduler import GopConfig, Network, RunResult, run_sequence
+from .synth import SceneSpec, generate, random_conv_spec
 from .tensors import ConvSpec, conv2d, load_weights, save_weights
 
 __version__ = "0.1.0"

@@ -85,22 +85,6 @@ def pack(frame: BayerFrame) -> np.ndarray:
     return out
 
 
-def unpack(packed: np.ndarray, pattern: str) -> BayerFrame:
-    """Exact inverse of ``pack``."""
-    packed = np.asarray(packed, dtype=np.float32)
-    if packed.ndim != 3 or packed.shape[0] != 4:
-        raise ValueError(f"expected (4, H/2, W/2) input, got shape {packed.shape}")
-    if pattern not in PATTERNS:
-        raise ValueError(f"unknown Bayer pattern {pattern!r}")
-    h, w = packed.shape[1] * 2, packed.shape[2] * 2
-    plane = np.empty((h, w), dtype=np.float32)
-    sites = PATTERNS[pattern]
-    for ci, role in enumerate(ROLE_NAMES):
-        ty, tx = sites[role]
-        plane[ty::2, tx::2] = packed[ci]
-    return BayerFrame(pattern=pattern, plane=plane)
-
-
 def _sample_dtype(bit_depth: int) -> np.dtype:
     return np.dtype("<u1") if bit_depth == 8 else np.dtype("<u2")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -147,13 +148,7 @@ def _build_network(args, in_channels: int) -> tuple[Network, dict]:
     return net, {
         "net": net_desc,
         "layers": [
-            {
-                "search_range": l.params.search_range,
-                "threshold": l.params.threshold,
-                "early_stop_density": l.params.early_stop_density,
-                "match_max_density": l.params.match_max_density,
-                "activation": l.activation,
-            }
+            {**asdict(l.params), "activation": l.activation}
             for l in net.layers
         ],
     }

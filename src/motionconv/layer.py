@@ -19,7 +19,7 @@ values because only those decompose linearly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -36,6 +36,7 @@ from .tensors import (
     load_weights,
     require_keys,
     unfold_blocks,
+    zero_pad,
 )
 
 
@@ -58,11 +59,9 @@ ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-# Keys a layer's parameter block may hold.
-PARAM_KEYS = (
-    "search_range", "threshold", "early_stop_density", "match_max_density",
-    "activation", "post_scale", "post_shift", "compensate",
-)
+# Keys a layer's parameter block may hold: the MotionParams fields, then the layer's own.
+MOTION_KEYS = tuple(f.name for f in fields(MotionParams))
+PARAM_KEYS = MOTION_KEYS + ("activation", "post_scale", "post_shift", "compensate")
 
 
 class LayerError(ValueError):
@@ -177,8 +176,7 @@ class MotionCompLayer:
             params = json.loads(Path(params).read_text())
         require_keys(params, (), source, allowed=PARAM_KEYS)
         spec = load_weights(weights_path)
-        motion_keys = {"search_range", "threshold", "early_stop_density", "match_max_density"}
-        mp = MotionParams(**{k: params[k] for k in motion_keys if k in params})
+        mp = MotionParams(**{k: params[k] for k in MOTION_KEYS if k in params})
         return cls(
             spec=spec,
             params=mp,
@@ -209,14 +207,14 @@ class MotionCompLayer:
     def forward_key(self, x: FeatureMap, ledger: FlopsLedger) -> FeatureMap:
         """Dense convolution; refreshes the cache with this frame."""
         x = ensure_feature_map(x, channels=self.spec.in_channels)
-        linear = self._affine(conv2d(x, self.spec, ledger, category="key"))
+        linear = self._affine(conv2d(x, self.spec, ledger))
         self.cache = LayerCache(prev_input=x.copy(), prev_output=linear)
         self.last_stats = None
         return self._activate(linear)
 
     def dense_forward(self, x: FeatureMap, ledger: FlopsLedger | None = None) -> FeatureMap:
         """Plain convolution path with no cache side effects (oracle runs)."""
-        return self._activate(self._affine(conv2d(x, self.spec, ledger, category="key")))
+        return self._activate(self._affine(conv2d(x, self.spec, ledger)))
 
     def forward_nonkey(
         self,
@@ -291,7 +289,7 @@ class MotionCompLayer:
         fallback = np.flatnonzero(~served)
         if fallback.size:
             at = np.divmod(fallback, out_w)
-            cols = unfold_blocks(x, spec.kernel_size, s, spec.padding, at=at)
+            cols = unfold_blocks(zero_pad(x, spec.padding), spec.kernel_size, s, at=at)
             flat[:, fallback] = self._affine(dense_rows(cols.T, spec, ledger, "unmatched"))
 
         self.cache = LayerCache(prev_input=x.copy(), prev_output=out)

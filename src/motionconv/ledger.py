@@ -29,11 +29,6 @@ class FlopsLedger:
     def total(self) -> int:
         return self.key_flops + self.me_flops + self.res_flops + self.unmatched_flops
 
-    @property
-    def conv_flops(self) -> int:
-        """Dense-convolution work: key frames plus unmatched fallbacks."""
-        return self.key_flops + self.unmatched_flops
-
     def charge(self, category: str, amount: int) -> None:
         """Add ``amount`` FLOPs to one category. Counters never decrease."""
         if category not in CATEGORIES:
@@ -65,12 +60,3 @@ class FlopsLedger:
             "unmatched": self.unmatched_flops,
             "total": self.total,
         }
-
-    def copy(self) -> "FlopsLedger":
-        return FlopsLedger(
-            self.key_flops,
-            self.me_flops,
-            self.res_flops,
-            self.unmatched_flops,
-            self.pred_bytes_moved,
-        )

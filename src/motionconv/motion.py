@@ -10,11 +10,13 @@ of stereo block matching). Box sums add in another order than per-block
 sums, so near-ties are re-decided on per-block sums, and every decision
 is the one per-block sums give. The same loop box-sums the kept entries
 of every candidate that improves a position, so each position leaves it
-with its winner's kept count. Neither frame is gathered whole: the
-near-tie check gathers the blocks of its near positions only, and one
-builder turns per-position vectors, kept counts and match flags into a
-``MotionField`` by gathering both frames only at the blocks the residual
-GEMM reads, matched positions with a nonzero kept count. It thresholds
+with its winner's kept count. Each frame is zero-padded once, for the
+loop, and every later gather reads those two planes. Neither frame is
+gathered whole: the near-tie check gathers the blocks of its near
+positions only, and one builder turns per-position vectors, kept counts
+and match flags into a ``MotionField`` by gathering both planes only at
+the blocks the residual GEMM reads, matched positions with a nonzero
+kept count. It thresholds
 their differences (a multiply by the keep mask, no select) into one
 compact residual: a tap-major column per listed position, the layout the
 layer's GEMM takes as it is. ``search`` feeds it the winners and
@@ -57,10 +59,10 @@ class MotionParams:
         if not is_int(self.search_range) or self.search_range < 0:
             raise ValueError(f"search_range must be an integer >= 0, got {self.search_range!r}")
         object.__setattr__(self, "search_range", int(self.search_range))
-        if self.threshold < 0:
+        if not self.threshold >= 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
-        if self.early_stop_density > 1:
-            raise ValueError("early_stop_density must be <= 1")
+        if not self.early_stop_density <= 1:
+            raise ValueError(f"early_stop_density must be <= 1, got {self.early_stop_density}")
         if not 0 <= self.match_max_density <= 1:
             raise ValueError("match_max_density must be in [0, 1]")
 
@@ -77,11 +79,10 @@ class MotionField:
     """Per-position search outcome for one frame at one layer.
 
     ``mv_dy``/``mv_dx``/``nnz`` hold the winning candidate for every
-    position, including unmatched ones; so does ``sad``, which is computed
-    from the frames the field was built from on first access (read it
-    before editing those frames in place). ``residual_at`` lists, as
-    sorted raster indices, the matched positions with ``nnz > 0``: the
-    only positions with a nonzero residual. ``residual`` is ``(block_size,
+    position, including unmatched ones; so does ``sad``, computed on first
+    access. ``residual_at`` lists, as sorted raster indices, the matched
+    positions with ``nnz > 0``: the only positions with a nonzero
+    residual. ``residual`` is ``(block_size,
     len(residual_at))`` float32 in the tap-major ``unfold_blocks(...,
     at=)`` layout: column n is the thresholded difference of position
     ``residual_at[n]``, zero for entries below the threshold. Every other
@@ -93,7 +94,6 @@ class MotionField:
     out_h: int
     out_w: int
     block_size: int
-    stride: int
     matched: np.ndarray
     mv_dy: np.ndarray
     mv_dx: np.ndarray
@@ -105,7 +105,9 @@ class MotionField:
 
     @cached_property
     def sad(self) -> np.ndarray:
-        """SAD of every position's winning candidate, summed over its block."""
+        """SAD of every position's winning candidate, summed over its block;
+        computed on first access from the padded planes the field was built
+        from, so later edits to the caller's frames do not reach it."""
         return _block_sad(self._diff_cols()).reshape(self.out_h, self.out_w)
 
     @property
@@ -190,55 +192,56 @@ def _inputs(cur_input: FeatureMap, ref_input: FeatureMap, spec: ConvSpec):
 
 def _differences(
     spec: ConvSpec,
-    cur: FeatureMap,
-    ref: FeatureMap,
+    cur_pad: np.ndarray,
+    ref_pad: np.ndarray,
     steps_y: np.ndarray,
     steps_x: np.ndarray,
-    e: int,
     positions: np.ndarray,
 ) -> np.ndarray:
     """``(block_size, len(positions))`` current blocks minus reference
-    blocks for the raster indices ``positions``, each reference block read
-    at the position's vector in grid steps, its source clipped to ``e``
-    grid steps beyond the output grid."""
+    blocks for the raster indices ``positions``. ``cur_pad`` is the
+    current frame zero-padded by the layer's padding; ``ref_pad`` is the
+    reference padded by e grid steps more, so its grid reaches e steps
+    beyond the output grid on every side. Each reference block is read at
+    the position's vector in grid steps, its source clipped to that
+    margin."""
     out_h, out_w = steps_y.shape
-    k, s, p = spec.kernel_size, spec.stride, spec.padding
+    k, s = spec.kernel_size, spec.stride
+    e = (ref_pad.shape[1] - cur_pad.shape[1]) // (2 * s)
     i, j = np.divmod(positions, out_w)
     src_i = np.clip(i + steps_y.ravel()[positions], -e, out_h - 1 + e) + e
     src_j = np.clip(j + steps_x.ravel()[positions], -e, out_w - 1 + e) + e
-    diff = unfold_blocks(cur, k, s, p, at=(i, j))
-    diff -= unfold_blocks(ref, k, s, p, extra_steps=e, at=(src_i, src_j))
+    diff = unfold_blocks(cur_pad, k, s, at=(i, j))
+    diff -= unfold_blocks(ref_pad, k, s, at=(src_i, src_j))
     return diff
 
 
 def _build_field(
     spec: ConvSpec,
-    cur: FeatureMap,
-    ref: FeatureMap,
+    cur_pad: np.ndarray,
+    ref_pad: np.ndarray,
     steps_y: np.ndarray,
     steps_x: np.ndarray,
-    e: int,
     tau: float,
     nnz: np.ndarray,
     matched: np.ndarray,
 ) -> MotionField:
     """The MotionField of per-position vectors given in grid steps, with
-    their kept counts ``nnz`` and match flags ``matched``.
+    their kept counts ``nnz`` and match flags ``matched``, on the padded
+    planes ``_differences`` takes.
 
-    Both frames are gathered only at matched positions with ``nnz > 0``,
-    each reference block at its source clipped to ``e`` grid steps beyond
-    the output grid; their differences, times the keep mask, are the
-    residual's columns (masked entries of negative differences read -0.0,
-    which equals 0).
+    Both planes are gathered only at matched positions with ``nnz > 0``;
+    their differences, times the keep mask, are the residual's columns
+    (masked entries of negative differences read -0.0, which equals 0).
+    The field's lazy SAD holds the two planes, which no caller sees.
     """
     out_h, out_w = steps_y.shape
     need = np.flatnonzero(matched & (nnz > 0))
-    diff = _differences(spec, cur, ref, steps_y, steps_x, e, need)
+    diff = _differences(spec, cur_pad, ref_pad, steps_y, steps_x, need)
     return MotionField(
         out_h=out_h,
         out_w=out_w,
         block_size=spec.block_size,
-        stride=spec.stride,
         matched=matched,
         mv_dy=steps_y * spec.stride,
         mv_dx=steps_x * spec.stride,
@@ -246,7 +249,7 @@ def _build_field(
         residual=np.multiply(diff, _kept(np.abs(diff), tau), out=diff),
         residual_at=need,
         _diff_cols=lambda: _differences(
-            spec, cur, ref, steps_y, steps_x, e, np.arange(out_h * out_w)
+            spec, cur_pad, ref_pad, steps_y, steps_x, np.arange(out_h * out_w)
         ),
     )
 
@@ -307,9 +310,9 @@ def search(
     fewer than two million elements. So where a candidate's box SAD is
     nonzero and within ``_NEAR_TIE`` of the best so far, relatively, both
     are recomputed as per-block sums, on current and reference blocks
-    gathered for those positions only, and those are compared. Every
-    comparison, and so every winner, early stop and ledger charge, is the
-    one the per-block sums give.
+    gathered from the loop's padded planes for those positions only, and
+    those are compared. Every comparison, and so every winner, early stop
+    and ledger charge, is the one the per-block sums give.
     """
     cur, ref, (out_h, out_w) = _inputs(cur_input, ref_input, spec)
     k, s, p = spec.kernel_size, spec.stride, spec.padding
@@ -352,8 +355,8 @@ def search(
             # reference blocks of this candidate, then of the best so far
             at = (np.concatenate([ni + qy, ni + bq[:, 0]]) + r,
                   np.concatenate([nj + qx, nj + bq[:, 1]]) + r)
-            ref_cols = unfold_blocks(ref, k, s, p, extra_steps=r, at=at).reshape(bsz, 2, -1)
-            cur_cols = unfold_blocks(cur, k, s, p, at=(ni, nj))
+            ref_cols = unfold_blocks(ref_pad, k, s, at=at).reshape(bsz, 2, -1)
+            cur_cols = unfold_blocks(cur_pad, k, s, at=(ni, nj))
             sad_q, sad_best = _block_sad(cur_cols[:, None] - ref_cols)
             improved[near] = sad_q < sad_best
         best[improved] = sad_vals[improved]
@@ -366,7 +369,7 @@ def search(
 
     steps = offsets[best_cand]
     matched = best_nnz <= params.match_max_density * bsz
-    return _build_field(spec, cur, ref, steps[..., 0], steps[..., 1], r, tau, best_nnz, matched)
+    return _build_field(spec, cur_pad, ref_pad, steps[..., 0], steps[..., 1], tau, best_nnz, matched)
 
 
 def field_from_vectors(
@@ -384,8 +387,8 @@ def field_from_vectors(
     with the frames; reconstruction from any such field is exact at tau=0
     regardless of vector quality. Vectors must be stride multiples. Every
     position, matched or not, gets the kept count (from one gather of both
-    frames at every position) and the SAD of its vector; unmatched
-    positions carry no residual column.
+    frames at every position, each frame padded once) and the SAD of its
+    vector; unmatched positions carry no residual column.
     """
     cur, ref, (out_h, out_w) = _inputs(cur_input, ref_input, spec)
     mv_dy = np.asarray(mv_dy, dtype=np.int32)
@@ -396,13 +399,14 @@ def field_from_vectors(
     k, s, p = spec.kernel_size, spec.stride, spec.padding
     if ((mv_dy % s) != 0).any() or ((mv_dx % s) != 0).any():
         raise ValueError("motion vectors must be integer multiples of the stride")
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"threshold must be >= 0, got {tau}")
 
     # Sources more than ceil((k + s) / s) grid steps outside the grid read
     # only zeros, as that step itself does, so the gather is clipped there.
     steps_y, steps_x = mv_dy // s, mv_dx // s
     e = min(int(max(np.abs(steps_y).max(), np.abs(steps_x).max())), -(-(k + s) // s))
-    diff = _differences(spec, cur, ref, steps_y, steps_x, e, np.arange(out_h * out_w))
-    nnz = np.count_nonzero(_kept(np.abs(diff), tau), axis=0).astype(np.int32)
-    return _build_field(spec, cur, ref, steps_y, steps_x, e, tau, nnz.reshape(out_h, out_w), matched)
+    cur_pad, ref_pad = zero_pad(cur, p), zero_pad(ref, p + e * s)
+    diff = _differences(spec, cur_pad, ref_pad, steps_y, steps_x, np.arange(out_h * out_w))
+    nnz = np.count_nonzero(_kept(np.abs(diff), tau), axis=0).astype(np.int32).reshape(out_h, out_w)
+    return _build_field(spec, cur_pad, ref_pad, steps_y, steps_x, tau, nnz, matched)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .ledger import FlopsLedger
 from .layer import MotionCompLayer
-from .tensors import FeatureMap, ensure_feature_map, require_keys
+from .tensors import FeatureMap, ensure_feature_map, is_int, require_keys
 
 
 @dataclass(frozen=True)
@@ -31,17 +31,9 @@ class GopConfig:
     oracle: bool = False
 
     def __post_init__(self):
-        if self.gop_length < 1:
-            raise ValueError(f"gop_length must be >= 1, got {self.gop_length}")
-
-
-def segment(frame_count: int, gop_length: int) -> list[int]:
-    """Key-frame indices {0, L, 2L, ...} below frame_count."""
-    if frame_count < 1:
-        raise ValueError(f"frame_count must be >= 1, got {frame_count}")
-    if gop_length < 1:
-        raise ValueError(f"gop_length must be >= 1, got {gop_length}")
-    return list(range(0, frame_count, gop_length))
+        if not is_int(self.gop_length) or self.gop_length < 1:
+            raise ValueError(f"gop_length must be an integer >= 1, got {self.gop_length!r}")
+        object.__setattr__(self, "gop_length", int(self.gop_length))
 
 
 # Keys a layer entry of a network description may hold.
@@ -140,7 +132,6 @@ class RunResult:
     outputs: list[np.ndarray]
     ledger: FlopsLedger
     records: list[LayerFrameRecord]
-    key_indices: list[int]
     baseline_total: int
     oracle_max_abs: Optional[list[float]] = None
     oracle_mean_abs: Optional[list[float]] = None
@@ -155,7 +146,6 @@ def run_sequence(net: Network, frames: Iterable[FeatureMap], config: GopConfig) 
     oracle_max: list[float] = []
     oracle_mean: list[float] = []
     expected_shape = None
-    frame_count = 0
 
     for t, frame in enumerate(frames):
         try:
@@ -168,7 +158,6 @@ def run_sequence(net: Network, frames: Iterable[FeatureMap], config: GopConfig) 
             raise ValueError(
                 f"frame {t}: shape {x.shape} drifted from {expected_shape}"
             )
-        frame_count += 1
 
         is_key = (t % config.gop_length) == 0
         if is_key:
@@ -214,13 +203,12 @@ def run_sequence(net: Network, frames: Iterable[FeatureMap], config: GopConfig) 
 
     # every run starts with a key frame, so the caches are dead from here on
     net.reset_all()
-    if frame_count == 0:
+    if not outputs:
         raise ValueError("empty frame sequence")
     return RunResult(
         outputs=outputs,
         ledger=ledger,
         records=records,
-        key_indices=segment(frame_count, config.gop_length),
         baseline_total=sum(rec.conv_flops for rec in records),
         oracle_max_abs=oracle_max if config.oracle else None,
         oracle_mean_abs=oracle_mean if config.oracle else None,

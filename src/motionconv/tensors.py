@@ -118,33 +118,30 @@ def zero_pad(x: np.ndarray, pad: int) -> np.ndarray:
 
 
 def unfold_blocks(
-    x: np.ndarray,
+    padded: np.ndarray,
     kernel_size: int,
     stride: int,
-    padding: int,
-    extra_steps: int = 0,
     at: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Gather receptive fields on the output grid into one new array.
+    """Gather receptive fields from a plane the caller has zero-padded.
 
-    Returns ``(grid_h, grid_w, C*k*k)`` float32 where the grid equals the
-    convolution output dims plus ``extra_steps`` whole grid steps on every
-    side; positions reaching past the frame read zeros. Flat block layout
-    is (channel, dy, dx), matching ``weights.reshape(C_out, -1)``. With
-    ``at=(rows, cols)``, integer arrays of equal length n indexing that
-    grid (row 0 is ``extra_steps`` steps above the output grid), only those
-    positions are gathered, tap-major: ``(C*k*k, n)`` columns in the same
-    (channel, dy, dx) row order, one column per position in the given
+    The grid is every stride-aligned k x k window of ``padded``, a
+    ``(C, H, W)`` float32 plane that is read but never padded or copied:
+    padding it by the convolution's padding gives the output grid, and
+    padding it by e grid steps more adds e steps on every side. Returns
+    ``(grid_h, grid_w, C*k*k)`` float32; flat block layout is (channel,
+    dy, dx), matching ``weights.reshape(C_out, -1)``. With ``at=(rows,
+    cols)``, integer arrays of equal length n indexing that grid, only
+    those positions are gathered, tap-major: ``(C*k*k, n)`` columns in the
+    same (channel, dy, dx) row order, one column per position in the given
     order, so ``weights.reshape(C_out, -1) @ cols`` is the ``(C_out, n)``
     output. One ``take`` reads them through a ``(k*k, n)`` index of block
     corners plus tap offsets. The result is always a writeable array that
     shares no memory.
     """
-    c = x.shape[0]
+    c, hp, wp = padded.shape
     k, s = kernel_size, stride
-    padded = zero_pad(x, padding + extra_steps * s)
     if at is not None:
-        _, hp, wp = padded.shape
         rows, cols = np.asarray(at[0]), np.asarray(at[1])
         if rows.size and (
             min(rows.min(), cols.min()) < 0
@@ -182,20 +179,18 @@ def dense_rows(
     return out.T
 
 
-def conv2d(
-    x: FeatureMap, spec: ConvSpec, ledger: FlopsLedger | None, category: str = "key"
-) -> FeatureMap:
+def conv2d(x: FeatureMap, spec: ConvSpec, ledger: FlopsLedger | None) -> FeatureMap:
     """Dense 2-D convolution with zero padding and optional bias.
 
     output(o, i, j) = bias[o] + sum_{c,dy,dx} weights[o,c,dy,dx] *
     padded_input(c, i*s + dy - p, j*s + dx - p). Charges the full dense
-    cost to ``ledger`` under ``category`` (key frames by default).
-    ``ledger=None`` skips accounting. The result is C-contiguous.
+    cost to ``ledger`` as key-frame work; ``ledger=None`` skips
+    accounting. The result is C-contiguous.
     """
     x = ensure_feature_map(x, channels=spec.in_channels)
     out_h, out_w = spec.out_shape(x.shape[1], x.shape[2])
-    blocks = unfold_blocks(x, spec.kernel_size, spec.stride, spec.padding)
-    out = dense_rows(blocks.reshape(out_h * out_w, -1), spec, ledger, category)
+    blocks = unfold_blocks(zero_pad(x, spec.padding), spec.kernel_size, spec.stride)
+    out = dense_rows(blocks.reshape(out_h * out_w, -1), spec, ledger, "key")
     result = np.ascontiguousarray(out.reshape(-1, out_h, out_w))
     if not np.isfinite(result).all():
         raise ValueError("convolution produced non-finite values")

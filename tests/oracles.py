@@ -8,14 +8,20 @@ receptive field at a time, as the pipeline once did; ``loop_forward_nonkey``
 composes them into a position-by-position non-key layer forward.
 ``dense_residual`` expands a field's compact residual columns into one row
 per position, the form the per-position references compare with.
+
+The rest are references only tests use: ``unpack``, the inverse of
+``bayer.pack``, and ``expected_motion``, the ground-truth vectors a search
+should recover on a synthetic scene (``GroundTruthMotion``).
 """
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
+from motionconv.bayer import PATTERNS, ROLE_NAMES, BayerFrame
 from motionconv.ledger import FlopsLedger
+from motionconv.synth import SceneSpec
 from motionconv.tensors import ConvSpec, ensure_feature_map
 
 
@@ -298,3 +304,119 @@ def dense_residual(field) -> np.ndarray:
     rows = np.zeros((field.positions, field.block_size), dtype=np.float32)
     rows[field.residual_at] = field.residual.T
     return rows
+
+
+def unpack(packed: np.ndarray, pattern: str) -> BayerFrame:
+    """Exact inverse of ``pack``."""
+    packed = np.asarray(packed, dtype=np.float32)
+    if packed.ndim != 3 or packed.shape[0] != 4:
+        raise ValueError(f"expected (4, H/2, W/2) input, got shape {packed.shape}")
+    if pattern not in PATTERNS:
+        raise ValueError(f"unknown Bayer pattern {pattern!r}")
+    h, w = packed.shape[1] * 2, packed.shape[2] * 2
+    plane = np.empty((h, w), dtype=np.float32)
+    sites = PATTERNS[pattern]
+    for ci, role in enumerate(ROLE_NAMES):
+        ty, tx = sites[role]
+        plane[ty::2, tx::2] = packed[ci]
+    return BayerFrame(pattern=pattern, plane=plane)
+
+
+@dataclass
+class GroundTruthMotion:
+    """Expected search outcome for one non-key frame.
+
+    ``mv`` is the uniform expected vector where one exists; block scenes
+    provide per-position vectors instead. ``interior_mask`` restricts
+    assertions to positions whose receptive fields stay clear of frame
+    borders, fill regions, and (for block scenes) occlusion boundaries.
+    """
+
+    frame_index: int
+    scene: SceneSpec
+    mv: Optional[tuple[int, int]] = None  # (dx, dy)
+
+    def mv_arrays(self, spec: ConvSpec, out_h: int, out_w: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-position expected (dy, dx) arrays on the output grid."""
+        dy = np.zeros((out_h, out_w), dtype=np.int32)
+        dx = np.zeros((out_h, out_w), dtype=np.int32)
+        if self.scene.kind in ("static", "global_translate", "noise_mix"):
+            dx[:], dy[:] = self.mv
+            return dy, dx
+        # block scene: block positions move, the rest is static background
+        mdx, mdy = self.scene.motion
+        inside = self._block_position_mask(spec, out_h, out_w)
+        dy[inside], dx[inside] = mdy, mdx
+        return dy, dx
+
+    def _field_bounds(self, spec: ConvSpec, out_h: int, out_w: int):
+        k, s, p = spec.kernel_size, spec.stride, spec.padding
+        i = np.arange(out_h)
+        j = np.arange(out_w)
+        y_first = i * s - p
+        x_first = j * s - p
+        return y_first, y_first + k - 1, x_first, x_first + k - 1
+
+    def _block_position_mask(self, spec: ConvSpec, out_h: int, out_w: int) -> np.ndarray:
+        t = self.frame_index
+        y0, x0, bh, bw = self.scene.block
+        mdx, mdy = self.scene.motion
+        oy, ox = y0 - t * mdy, x0 - t * mdx
+        y_lo, y_hi, x_lo, x_hi = self._field_bounds(spec, out_h, out_w)
+        # field inside the block at t AND its match inside the block at t-1
+        rows = (y_lo >= oy) & (y_hi <= oy + bh - 1)
+        cols = (x_lo >= ox) & (x_hi <= ox + bw - 1)
+        return rows[:, None] & cols[None, :]
+
+    def interior_mask(self, spec: ConvSpec) -> np.ndarray:
+        """Positions where exact recovery of the expected vector is forced."""
+        h, w = self.scene.height, self.scene.width
+        out_h, out_w = spec.out_shape(h, w)
+        t = self.frame_index
+        y_lo, y_hi, x_lo, x_hi = self._field_bounds(spec, out_h, out_w)
+
+        if self.scene.kind in ("static", "noise_mix"):
+            rows = (y_lo >= 0) & (y_hi <= h - 1)
+            cols = (x_lo >= 0) & (x_hi <= w - 1)
+            return rows[:, None] & cols[None, :]
+
+        if self.scene.kind == "global_translate":
+            mdx, mdy = self.scene.motion
+            # live texture in the current frame, the matched read in-frame,
+            # and no convolution padding inside the current block
+            row_min = max(0, -mdy, -t * mdy)
+            row_max = h - 1 - max(0, mdy, t * mdy)
+            col_min = max(0, -mdx, -t * mdx)
+            col_max = w - 1 - max(0, mdx, t * mdx)
+            rows = (y_lo >= row_min) & (y_hi <= row_max)
+            cols = (x_lo >= col_min) & (x_hi <= col_max)
+            return rows[:, None] & cols[None, :]
+
+        # block_translate: inside-block positions as computed above, plus
+        # background positions whose fields avoid the block at both frames
+        inside = self._block_position_mask(spec, out_h, out_w)
+        y0, x0, bh, bw = self.scene.block
+        mdx, mdy = self.scene.motion
+        in_frame = ((y_lo >= 0) & (y_hi <= h - 1))[:, None] & ((x_lo >= 0) & (x_hi <= w - 1))[None, :]
+        clear = in_frame.copy()
+        for tt in (t, t - 1):
+            oy, ox = y0 - tt * mdy, x0 - tt * mdx
+            overlap_rows = (y_hi >= oy) & (y_lo <= oy + bh - 1)
+            overlap_cols = (x_hi >= ox) & (x_lo <= ox + bw - 1)
+            clear &= ~(overlap_rows[:, None] & overlap_cols[None, :])
+        return inside | clear
+
+
+def expected_motion(spec: SceneSpec, frame_index: int) -> GroundTruthMotion:
+    """Ground truth the search should recover at interior positions of frame
+    ``frame_index`` against frame ``frame_index - 1``. Refused for scenes
+    without well-defined motion (noise above zero amplitude)."""
+    if not 1 <= frame_index < spec.frame_count:
+        raise ValueError(f"frame_index must be in [1, {spec.frame_count}), got {frame_index}")
+    if spec.kind == "noise_mix" and spec.noise_amplitude > 0:
+        raise ValueError("noise_mix scenes with nonzero amplitude have no ground-truth motion")
+    if spec.kind in ("static", "noise_mix"):
+        return GroundTruthMotion(frame_index, spec, mv=(0, 0))
+    if spec.kind == "global_translate":
+        return GroundTruthMotion(frame_index, spec, mv=spec.motion)
+    return GroundTruthMotion(frame_index, spec, mv=None)

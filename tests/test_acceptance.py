@@ -21,14 +21,16 @@ import numpy as np
 import pytest
 
 from motionconv.analysis import CostModel, acceleration, model_nonkey_flops
-from motionconv.bayer import PATTERNS, BayerFrame, load_raw_sequence, mosaic, pack, save_raw_sequence, unpack
+from motionconv.bayer import PATTERNS, BayerFrame, load_raw_sequence, mosaic, pack, save_raw_sequence
 from motionconv.cli import main
 from motionconv.layer import ACTIVATIONS, MotionCompLayer
 from motionconv.ledger import FlopsLedger
 from motionconv.motion import MotionParams, search
 from motionconv.scheduler import GopConfig, Network, run_sequence
-from motionconv.synth import SceneSpec, expected_motion, generate, random_conv_spec
+from motionconv.synth import SceneSpec, generate, random_conv_spec
 from motionconv.tensors import conv2d
+
+from oracles import expected_motion, unpack
 
 
 def announce(criterion: int, message: str) -> None:

@@ -11,8 +11,9 @@ from motionconv.bayer import (
     pack,
     quantize_plane,
     save_raw_sequence,
-    unpack,
 )
+
+from oracles import unpack
 
 ALL_PATTERNS = sorted(PATTERNS)
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motionconv import motion
+from motionconv import motion, tensors
 from motionconv.layer import MotionCompLayer
 from motionconv.ledger import FlopsLedger
 from motionconv.motion import MotionParams, field_from_vectors, search
@@ -197,6 +197,47 @@ def test_nonkey_path_gathers_only_rows_the_gemm_reads(monkeypatch):
     assert layer.last_stats.matched == int(np.count_nonzero(field.matched))
     assert len(gathered) == 2
     assert sum(gathered) == 2 * needed
+
+
+@pytest.mark.parametrize("seed", [63, 100])
+def test_each_frame_is_padded_once(seed, monkeypatch):
+    # search pads the two frames for its candidate loop; the near-tie check,
+    # the residual builder and the lazy SAD gather from those two planes.
+    # field_from_vectors likewise pads each frame once.
+    cur, ref, spec, params = mirror_stack(seed)
+    pads, gathers = [], []
+    real_pad, real_gather = tensors.zero_pad, motion.unfold_blocks
+
+    def counting_pad(x, pad):
+        pads.append(pad)
+        return real_pad(x, pad)
+
+    def counting_gather(*args, **kwargs):
+        gathers.append(1)
+        return real_gather(*args, **kwargs)
+
+    for owner in (motion, tensors):
+        monkeypatch.setattr(owner, "zero_pad", counting_pad)
+    monkeypatch.setattr(motion, "unfold_blocks", counting_gather)
+    field = search(cur, ref, spec, params, None)
+    field.sad
+    # two builder gathers and two SAD gathers; more means near ties ran
+    assert len(gathers) > 4
+    assert len(pads) == 2
+    pads.clear()
+    rebuilt = field_from_vectors(cur, ref, spec, field.mv_dy, field.mv_dx, field.matched,
+                                 tau=params.threshold)
+    rebuilt.sad
+    assert len(pads) == 2
+
+
+def test_lazy_sad_ignores_later_edits_to_the_frames():
+    cur, ref, spec, params = mirror_stack(63)
+    want = search(cur.copy(), ref.copy(), spec, params, None).sad
+    field = search(cur, ref, spec, params, None)
+    cur[...] = 0
+    ref[...] = 1
+    np.testing.assert_array_equal(field.sad, want)
 
 
 @settings(deadline=None, max_examples=100)

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from motionconv.ledger import FlopsLedger
 from motionconv.motion import MotionParams, _kept, field_from_vectors, search
-from motionconv.synth import SceneSpec, expected_motion, generate
+from motionconv.synth import SceneSpec, generate
 from motionconv.tensors import ConvSpec
 
-from oracles import extract_block, naive_sad, read_block_at, sad, threshold_residual
+from oracles import expected_motion, extract_block, naive_sad, read_block_at, sad, threshold_residual
 
 
 def make_spec(rng, c_in=3, c_out=4, k=3, stride=1, padding=1):
@@ -105,6 +105,16 @@ class TestMotionParams:
             MotionParams(threshold=-0.1)
         with pytest.raises(ValueError):
             MotionParams(match_max_density=1.5)
+
+    def test_rejects_nan_threshold(self):
+        # NaN compared false against every bound and acted as tau=0
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            MotionParams(threshold=float("nan"))
+
+    def test_rejects_nan_early_stop_density(self):
+        # NaN compared false against every bound and turned early stopping off
+        with pytest.raises(ValueError, match="early_stop_density must be <= 1"):
+            MotionParams(early_stop_density=float("nan"))
 
     @pytest.mark.parametrize("value", [1.5, 1.0, True])
     def test_rejects_non_integer_search_range(self, value):
@@ -308,6 +318,16 @@ class TestFieldFromVectors:
         mv = np.ones((out_h, out_w), dtype=np.int32)  # 1 is not a multiple of 2
         with pytest.raises(ValueError, match="multiples"):
             field_from_vectors(x, x, spec, mv, mv, np.ones((out_h, out_w), bool))
+
+    def test_rejects_nan_threshold(self):
+        rng = np.random.default_rng(21)
+        spec = make_spec(rng)
+        x = rng.random((3, 8, 8), dtype=np.float32)
+        out_h, out_w = spec.out_shape(8, 8)
+        zeros = np.zeros((out_h, out_w), dtype=np.int32)
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            field_from_vectors(x, x, spec, zeros, zeros, np.ones((out_h, out_w), bool),
+                               tau=float("nan"))
 
     def test_consistent_with_search_on_static(self):
         rng = np.random.default_rng(20)

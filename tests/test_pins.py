@@ -6,16 +6,20 @@ that differs. This runs one pass for the first three seeds of each through
 ``perfbench/workloads.py`` and compares it the way ``perfbench/gate.py``
 does (both imported read-only), so that ledger drift shows in the test
 suite without running the benchmark. It also checks that the functions
-``perfbench/tracing.py`` wraps by attribute name are still there.
+``perfbench/tracing.py`` wraps by attribute name, and the attributes it
+reads off their results, are still there.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from motionconv import layer, motion, tensors
+from motionconv import layer, motion, scheduler, tensors
+from motionconv.ledger import FlopsLedger
+from motionconv.tensors import ConvSpec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -50,3 +54,20 @@ def test_traced_attributes_exist():
     assert layer.conv2d is tensors.conv2d
     assert layer.unfold_blocks is tensors.unfold_blocks
     assert motion.unfold_blocks is tensors.unfold_blocks
+    # it also reads these attributes off the results of the wrapped calls,
+    # and fails mid-run when one is gone
+    rng = np.random.default_rng(0)
+    spec = ConvSpec(weights=rng.uniform(-0.5, 0.5, (2, 1, 3, 3)).astype(np.float32), padding=1)
+    frames = [rng.random((1, 6, 6)).astype(np.float32) for _ in range(2)]
+    field = motion.search(frames[1], frames[0], spec, motion.MotionParams(), None)
+    for attr in ("block_size", "positions", "alpha"):
+        assert hasattr(field, attr), attr
+    net = scheduler.Network([layer.MotionCompLayer(spec)])
+    result = scheduler.run_sequence(net, frames, scheduler.GopConfig(gop_length=2))
+    for attr in ("outputs", "ledger"):
+        assert hasattr(result, attr), attr
+    net.layers[0].forward_key(frames[0], FlopsLedger())
+    net.layers[0].forward_nonkey(frames[1], FlopsLedger())
+    stats = net.layers[0].last_stats
+    for attr in ("positions", "matched", "demoted", "nnz_total", "block_size"):
+        assert hasattr(stats, attr), attr

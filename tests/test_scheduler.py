@@ -3,7 +3,7 @@ import pytest
 
 from motionconv.layer import MotionCompLayer
 from motionconv.motion import MotionParams
-from motionconv.scheduler import GopConfig, Network, run_sequence, segment
+from motionconv.scheduler import GopConfig, Network, run_sequence
 from motionconv.synth import SceneSpec, generate, random_conv_spec
 from motionconv.tensors import save_weights
 
@@ -18,21 +18,17 @@ def make_net(seed=0, c_in=3, depth=2, c_mid=8, tau=0.01, **params):
     return Network(layers)
 
 
-class TestSegment:
-    def test_paper_setting(self):
-        assert segment(25, 12) == [0, 12, 24]
+class TestGopConfig:
+    @pytest.mark.parametrize("value", [0, -3, True, 2.5, 12.0, "12"])
+    def test_rejects_non_integer_or_small_length(self, value):
+        # True would make every frame a key frame and 2.5 key frames 0, 5,
+        # 10, ... without a word, so both are refused up front
+        with pytest.raises(ValueError, match="gop_length must be an integer >= 1"):
+            GopConfig(gop_length=value)
 
-    def test_all_key_degenerate(self):
-        assert segment(5, 1) == [0, 1, 2, 3, 4]
-
-    def test_single_gop(self):
-        assert segment(12, 12) == [0]
-
-    def test_rejects_bad_lengths(self):
-        with pytest.raises(ValueError):
-            segment(10, 0)
-        with pytest.raises(ValueError):
-            segment(0, 4)
+    def test_accepts_numpy_integer_length(self):
+        config = GopConfig(gop_length=np.int64(4))
+        assert config.gop_length == 4 and type(config.gop_length) is int
 
 
 class TestNetwork:
@@ -167,7 +163,7 @@ class TestRunSequence:
                                     frame_count=5, seed=20))
         result = run_sequence(net, frames, GopConfig(gop_length=2))
         assert len(result.records) == 5 * 2
-        assert result.key_indices == [0, 2, 4]
+        assert [r.frame for r in result.records if r.layer == 0 and r.is_key] == [0, 2, 4]
         key_records = [r for r in result.records if r.is_key]
         assert all(r.flops["me"] == 0 for r in key_records)
         assert all(r.alpha is None for r in key_records)

@@ -3,7 +3,9 @@ import pytest
 
 from motionconv.ledger import FlopsLedger
 from motionconv.motion import MotionParams, search
-from motionconv.synth import SceneSpec, expected_motion, generate, random_conv_spec
+from motionconv.synth import SceneSpec, generate, random_conv_spec
+
+from oracles import expected_motion
 
 
 class TestGenerate:
