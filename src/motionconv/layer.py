@@ -1,19 +1,24 @@
 """One motion-compensated convolution layer.
 
 Key frames run the dense convolution and cache both the input and the
-(pre-activation) output. Non-key frames search the cached input, copy
-matched outputs from the cached output map, add the convolution of the
-sparse residual, and fall back to dense per-position convolution where
-no usable match exists; the fallback gathers the receptive fields of
-those positions only. The output is written as ``(C_out, H*W)``. The
-residual GEMM turns the field's tap-major columns into the compensated
-outputs (prediction plus convolved residual) of the positions they list;
-one column gather then writes every position, from those columns or from
-the cached output, and the fallback overwrites every position the
-prediction does not serve, demoted ones included. The activation, when
-configured, is applied after reconstruction so the next layer always
-sees true post-activation features; the cache keeps pre-activation
-values because only those decompose linearly.
+(pre-activation) output. A non-key frame zero-pads its input once, by the
+search margin, and caches that plane as the input: the next frame's
+search reads it as its reference plane without padding it again; a key
+frame's input is cached unpadded and padded by the next frame. Non-key
+frames search the cached plane from the current frame's own padded
+plane, copy matched outputs from the cached output map, add the
+convolution of the sparse residual, and fall back to dense per-position
+convolution where no usable match exists; the fallback gathers the
+receptive fields of those positions only, from the same padded plane.
+The output is written as ``(C_out, H*W)``. The residual GEMM turns the
+field's tap-major columns into the compensated outputs (prediction plus
+convolved residual) of the positions they list; one column gather then
+writes every position, from those columns or from the cached output, and
+the fallback overwrites every position the prediction does not serve,
+demoted ones included. The activation, when configured, is applied after
+reconstruction so the next layer always sees true post-activation
+features; the cache keeps pre-activation values because only those
+decompose linearly.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .ledger import FlopsLedger
-from .motion import MotionField, MotionParams, search
+from .motion import MotionField, MotionParams, search_margin
+from .motion import search_planes as search  # perfbench/tracing.py wraps ``layer.search``
 from .tensors import (
     ConvSpec,
     FeatureMap,
@@ -70,10 +76,24 @@ class LayerError(ValueError):
 
 @dataclass
 class LayerCache:
-    """Previous frame's layer input and pre-activation output."""
+    """Previous frame's layer input and pre-activation output.
 
-    prev_input: np.ndarray
+    The input is kept as a plane zero-padded by ``margin`` on every side:
+    after a non-key frame, the plane its search and fallback read, which
+    the next frame's search reads as its reference plane; after a key
+    frame, an unpadded copy. ``prev_input`` is its read-only interior.
+    """
+
+    plane: np.ndarray
+    margin: int
     prev_output: np.ndarray
+
+    @property
+    def prev_input(self) -> np.ndarray:
+        m = self.margin
+        view = self.plane[:, m : self.plane.shape[1] - m, m : self.plane.shape[2] - m]
+        view.flags.writeable = False
+        return view
 
 
 @dataclass
@@ -205,10 +225,14 @@ class MotionCompLayer:
         self.last_stats = None
 
     def forward_key(self, x: FeatureMap, ledger: FlopsLedger) -> FeatureMap:
-        """Dense convolution; refreshes the cache with this frame."""
+        """Dense convolution; refreshes the cache with a copy of this frame.
+
+        The copy is cached unpadded (margin 0), and the next non-key frame
+        pads it: a margin pad costs more than the copy, and a key frame
+        followed by another key frame never reads it."""
         x = ensure_feature_map(x, channels=self.spec.in_channels)
         linear = self._affine(conv2d(x, self.spec, ledger))
-        self.cache = LayerCache(prev_input=x.copy(), prev_output=linear)
+        self.cache = LayerCache(plane=x.copy(), margin=0, prev_output=linear)
         self.last_stats = None
         return self._activate(linear)
 
@@ -235,6 +259,14 @@ class MotionCompLayer:
         its ``residual`` must be ``(block_size, len(residual_at))`` columns
         for the strictly increasing raster indices ``residual_at``, as
         ``motion`` builds them, or ``LayerError`` is raised.
+
+        ``x`` is validated and zero-padded once, by the search margin. The
+        search reads that plane against the cached one without validating
+        or padding again, the dense fallback gathers from it at grid offset
+        r (the search range), and the cache keeps it for the next frame.
+        A cached plane with another margin, a key frame's unpadded copy or
+        a plane padded under another search range, is padded again from
+        its interior.
         """
         if self.cache is None:
             raise LayerError("no cached reference; process a key frame first")
@@ -248,8 +280,13 @@ class MotionCompLayer:
         h, w = x.shape[1], x.shape[2]
         out_h, out_w = spec.out_shape(h, w)
         bsz = spec.block_size
+        margin = search_margin(spec, self.params)
+        plane = zero_pad(x, margin)
         if field is None:
-            field = search(x, self.cache.prev_input, spec, self.params, ledger)
+            ref_plane = self.cache.plane
+            if self.cache.margin != margin:
+                ref_plane = zero_pad(self.cache.prev_input, margin)
+            field = search(plane, ref_plane, spec, self.params, ledger)
         else:
             _check_field(field, out_h, out_w, bsz)
         s = spec.stride
@@ -288,11 +325,12 @@ class MotionCompLayer:
 
         fallback = np.flatnonzero(~served)
         if fallback.size:
-            at = np.divmod(fallback, out_w)
-            cols = unfold_blocks(zero_pad(x, spec.padding), spec.kernel_size, s, at=at)
+            r = self.params.search_range
+            fi, fj = np.divmod(fallback, out_w)
+            cols = unfold_blocks(plane, spec.kernel_size, s, at=(fi + r, fj + r))
             flat[:, fallback] = self._affine(dense_rows(cols.T, spec, ledger, "unmatched"))
 
-        self.cache = LayerCache(prev_input=x.copy(), prev_output=out)
+        self.cache = LayerCache(plane=plane, margin=margin, prev_output=out)
         self.last_stats = NonKeyStats(
             positions=out_h * out_w,
             matched=int(rows.size),

@@ -10,8 +10,11 @@ of stereo block matching). Box sums add in another order than per-block
 sums, so near-ties are re-decided on per-block sums, and every decision
 is the one per-block sums give. The same loop box-sums the kept entries
 of every candidate that improves a position, so each position leaves it
-with its winner's kept count. Each frame is zero-padded once, for the
-loop, and every later gather reads those two planes. Neither frame is
+with its winner's kept count. The loop reads both frames as planes
+zero-padded once by the search margin (``search_margin``), and every
+later gather reads those two planes: ``search`` validates and pads its
+two frames, and ``search_planes``, which the layer calls on planes it
+has already validated and padded, does the rest. Neither frame is
 gathered whole: the near-tie check gathers the blocks of its near
 positions only, and one builder turns per-position vectors, kept counts
 and match flags into a ``MotionField`` by gathering both planes only at
@@ -194,24 +197,24 @@ def _differences(
     spec: ConvSpec,
     cur_pad: np.ndarray,
     ref_pad: np.ndarray,
+    e: int,
     steps_y: np.ndarray,
     steps_x: np.ndarray,
     positions: np.ndarray,
 ) -> np.ndarray:
     """``(block_size, len(positions))`` current blocks minus reference
-    blocks for the raster indices ``positions``. ``cur_pad`` is the
-    current frame zero-padded by the layer's padding; ``ref_pad`` is the
-    reference padded by e grid steps more, so its grid reaches e steps
-    beyond the output grid on every side. Each reference block is read at
+    blocks for the raster indices ``positions``. Both planes are zero-padded
+    by the layer's padding plus ``e`` grid steps, so their grids reach e
+    steps beyond the output grid on every side and output position (i, j)
+    sits at grid position (i + e, j + e). Each reference block is read at
     the position's vector in grid steps, its source clipped to that
     margin."""
     out_h, out_w = steps_y.shape
     k, s = spec.kernel_size, spec.stride
-    e = (ref_pad.shape[1] - cur_pad.shape[1]) // (2 * s)
     i, j = np.divmod(positions, out_w)
     src_i = np.clip(i + steps_y.ravel()[positions], -e, out_h - 1 + e) + e
     src_j = np.clip(j + steps_x.ravel()[positions], -e, out_w - 1 + e) + e
-    diff = unfold_blocks(cur_pad, k, s, at=(i, j))
+    diff = unfold_blocks(cur_pad, k, s, at=(i + e, j + e))
     diff -= unfold_blocks(ref_pad, k, s, at=(src_i, src_j))
     return diff
 
@@ -220,6 +223,7 @@ def _build_field(
     spec: ConvSpec,
     cur_pad: np.ndarray,
     ref_pad: np.ndarray,
+    e: int,
     steps_y: np.ndarray,
     steps_x: np.ndarray,
     tau: float,
@@ -227,17 +231,19 @@ def _build_field(
     matched: np.ndarray,
 ) -> MotionField:
     """The MotionField of per-position vectors given in grid steps, with
-    their kept counts ``nnz`` and match flags ``matched``, on the padded
-    planes ``_differences`` takes.
+    their kept counts ``nnz`` and match flags ``matched``, on planes padded
+    by ``e`` grid steps beyond the layer's padding as ``_differences``
+    takes them.
 
     Both planes are gathered only at matched positions with ``nnz > 0``;
     their differences, times the keep mask, are the residual's columns
     (masked entries of negative differences read -0.0, which equals 0).
-    The field's lazy SAD holds the two planes, which no caller sees.
+    The field's lazy SAD holds the two planes, which their owner never
+    writes.
     """
     out_h, out_w = steps_y.shape
     need = np.flatnonzero(matched & (nnz > 0))
-    diff = _differences(spec, cur_pad, ref_pad, steps_y, steps_x, need)
+    diff = _differences(spec, cur_pad, ref_pad, e, steps_y, steps_x, need)
     return MotionField(
         out_h=out_h,
         out_w=out_w,
@@ -249,7 +255,7 @@ def _build_field(
         residual=np.multiply(diff, _kept(np.abs(diff), tau), out=diff),
         residual_at=need,
         _diff_cols=lambda: _differences(
-            spec, cur_pad, ref_pad, steps_y, steps_x, np.arange(out_h * out_w)
+            spec, cur_pad, ref_pad, e, steps_y, steps_x, np.arange(out_h * out_w)
         ),
     )
 
@@ -259,16 +265,23 @@ def _build_field(
 _NEAR_TIE = 1e-9
 
 
-def _box(plane: np.ndarray, k: int, s: int, out_h: int, out_w: int) -> np.ndarray:
+def _box(plane: np.ndarray, k: int, s: int, out_h: int, out_w: int, acc) -> np.ndarray:
     """Sums over the k x k windows of ``plane`` whose corners lie on the
-    stride-``s`` grid: a k-tap horizontal sum, then a k-tap vertical one."""
-    rows = plane[:, : (out_w - 1) * s + 1 : s].copy()
+    stride-``s`` grid, in dtype ``acc``: a k-tap horizontal sum, then a
+    k-tap vertical one."""
+    rows = plane[:, : (out_w - 1) * s + 1 : s].astype(acc)
     for dx in range(1, k):
         rows += plane[:, dx : dx + (out_w - 1) * s + 1 : s]
     out = rows[: (out_h - 1) * s + 1 : s].copy()
     for dy in range(1, k):
         out += rows[dy : dy + (out_h - 1) * s + 1 : s]
     return out
+
+
+def search_margin(spec: ConvSpec, params: MotionParams) -> int:
+    """Zero padding of the planes ``search_planes`` reads: the layer's
+    padding plus the search range in input pixels."""
+    return spec.padding + params.search_range * spec.stride
 
 
 def search(
@@ -279,6 +292,9 @@ def search(
     ledger: FlopsLedger | None,
 ) -> MotionField:
     """Full search over stride-aligned candidates for every output position.
+
+    Validates both frames, zero-pads each once by ``search_margin`` into
+    planes no caller sees, and runs ``search_planes`` on them.
 
     Candidates are enumerated with (0, 0) first, then raster order; each
     evaluated SAD charges 2 k^2 C_in. The candidate loop keeps each
@@ -294,12 +310,13 @@ def search(
     reference frame see zeros.
 
     Each candidate is scored on whole planes, cropped to the bounding box
-    of the positions still active: one float32 difference of the
-    zero-padded current plane and the shifted reference plane (each
-    element equal to the gathered difference it stands for), its absolute
-    value summed over channels in float64, then a k-tap horizontal and a
-    k-tap vertical box sum at the stride. Kept counts are the same box
-    sums of the per-pixel kept counts, so they are exact.
+    of the positions still active: one float32 difference of the current
+    plane and the shifted reference plane (each element equal to the
+    gathered difference it stands for), its absolute value summed over
+    channels in float64, then a k-tap horizontal and a k-tap vertical box
+    sum at the stride. Kept counts are the same box sums of the per-pixel
+    kept counts, so they are exact. Candidate (0, 0) is every position's
+    first, so each takes it as its best so far without a comparison.
 
     The box sums add the block's n = k^2 C_in non-negative terms in another
     order than the per-block sum ``MotionField.sad`` reports. Any order of
@@ -310,22 +327,41 @@ def search(
     fewer than two million elements. So where a candidate's box SAD is
     nonzero and within ``_NEAR_TIE`` of the best so far, relatively, both
     are recomputed as per-block sums, on current and reference blocks
-    gathered from the loop's padded planes for those positions only, and
-    those are compared. Every comparison, and so every winner, early stop
-    and ledger charge, is the one the per-block sums give.
+    gathered from the two planes for those positions only, and those are
+    compared. Every comparison, and so every winner, early stop and ledger
+    charge, is the one the per-block sums give.
     """
-    cur, ref, (out_h, out_w) = _inputs(cur_input, ref_input, spec)
-    k, s, p = spec.kernel_size, spec.stride, spec.padding
+    cur, ref, _ = _inputs(cur_input, ref_input, spec)
+    margin = search_margin(spec, params)
+    return search_planes(zero_pad(cur, margin), zero_pad(ref, margin), spec, params, ledger)
+
+
+def search_planes(
+    cur_pad: np.ndarray,
+    ref_pad: np.ndarray,
+    spec: ConvSpec,
+    params: MotionParams,
+    ledger: FlopsLedger | None,
+) -> MotionField:
+    """``search`` on two validated frames of one shape, each zero-padded by
+    ``search_margin(spec, params)``: the candidate loop and the field
+    builder ``search`` describes, with no validation or padding of their
+    own. Output position (i, j) sits at grid position (i + r, j + r) of
+    either plane, r the search range. The planes are read, never written,
+    and the field's lazy SAD keeps them.
+    """
+    k, s = spec.kernel_size, spec.stride
     bsz = spec.block_size
     r = params.search_range
     tau = params.threshold
+    m = r * s  # each plane's margin beyond the layer's padding
+    out_h = (cur_pad.shape[1] - k) // s + 1 - 2 * r
+    out_w = (cur_pad.shape[2] - k) // s + 1 - 2 * r
+    # per-pixel kept counts, at most C_in, summed in the narrowest type that holds them
+    per_pixel = np.min_scalar_type(spec.in_channels)
+    trigger = params.early_stop_density * bsz
 
-    m = r * s  # the reference plane's margin beyond the current's padding
-    cur_pad, ref_pad = zero_pad(cur, p), zero_pad(ref, p + m)
-
-    best_sad = np.full((out_h, out_w), np.inf)
     best_cand = np.zeros((out_h, out_w), dtype=np.int32)
-    best_nnz = np.zeros((out_h, out_w), dtype=np.int32)
     active = np.ones((out_h, out_w), dtype=bool)
 
     offsets = np.array(_candidate_offsets(r), dtype=np.int32)
@@ -338,11 +374,22 @@ def search(
             ledger.charge("me", 2 * bsz * int(np.count_nonzero(active)))
         i0, j0 = int(live_i[0]), int(live_j[0])
         nh, nw = int(live_i[-1]) + 1 - i0, int(live_j[-1]) + 1 - j0
-        y0, x0 = i0 * s, j0 * s
+        y0, x0 = i0 * s + m, j0 * s + m
         hh, ww = (nh - 1) * s + k, (nw - 1) * s + k
-        ry, rx = y0 + m + int(qy) * s, x0 + m + int(qx) * s
-        mag = np.abs(cur_pad[:, y0 : y0 + hh, x0 : x0 + ww] - ref_pad[:, ry : ry + hh, rx : rx + ww])
-        sad_vals = _box(mag.sum(axis=0, dtype=np.float64), k, s, nh, nw)
+        ry, rx = y0 + int(qy) * s, x0 + int(qx) * s
+        mag = np.subtract(cur_pad[:, y0 : y0 + hh, x0 : x0 + ww], ref_pad[:, ry : ry + hh, rx : rx + ww])
+        np.abs(mag, out=mag)
+        sad_vals = _box(mag.sum(axis=0, dtype=np.float64), k, s, nh, nw, np.float64)
+
+        def kept_counts():
+            return _box(_kept(mag, tau).sum(axis=0, dtype=per_pixel), k, s, nh, nw, np.int32)
+
+        if ci == 0:
+            # the whole grid is active and every position improves on no best
+            best_sad, best_nnz = sad_vals, kept_counts()
+            if params.early_stop_enabled:
+                active = best_nnz > trigger
+            continue
 
         crop = (slice(i0, i0 + nh), slice(j0, j0 + nw))
         act, best, cand, nnz = active[crop], best_sad[crop], best_cand[crop], best_nnz[crop]
@@ -356,20 +403,20 @@ def search(
             at = (np.concatenate([ni + qy, ni + bq[:, 0]]) + r,
                   np.concatenate([nj + qx, nj + bq[:, 1]]) + r)
             ref_cols = unfold_blocks(ref_pad, k, s, at=at).reshape(bsz, 2, -1)
-            cur_cols = unfold_blocks(cur_pad, k, s, at=(ni, nj))
+            cur_cols = unfold_blocks(cur_pad, k, s, at=(ni + r, nj + r))
             sad_q, sad_best = _block_sad(cur_cols[:, None] - ref_cols)
             improved[near] = sad_q < sad_best
-        best[improved] = sad_vals[improved]
-        cand[improved] = ci
         if improved.any():
-            kept = _box(_kept(mag, tau).sum(axis=0, dtype=np.int32), k, s, nh, nw)
-            nnz[improved] = kept[improved]
+            np.copyto(best, sad_vals, where=improved)
+            np.copyto(cand, ci, where=improved)
+            kept = kept_counts()
+            np.copyto(nnz, kept, where=improved)
             if params.early_stop_enabled:
-                act[improved & (kept <= params.early_stop_density * bsz)] = False
+                np.copyto(act, False, where=improved & (kept <= trigger))
 
     steps = offsets[best_cand]
     matched = best_nnz <= params.match_max_density * bsz
-    return _build_field(spec, cur_pad, ref_pad, steps[..., 0], steps[..., 1], tau, best_nnz, matched)
+    return _build_field(spec, cur_pad, ref_pad, r, steps[..., 0], steps[..., 1], tau, best_nnz, matched)
 
 
 def field_from_vectors(
@@ -387,8 +434,9 @@ def field_from_vectors(
     with the frames; reconstruction from any such field is exact at tau=0
     regardless of vector quality. Vectors must be stride multiples. Every
     position, matched or not, gets the kept count (from one gather of both
-    frames at every position, each frame padded once) and the SAD of its
-    vector; unmatched positions carry no residual column.
+    frames at every position, each frame padded once, both by the same
+    margin) and the SAD of its vector; unmatched positions carry no
+    residual column.
     """
     cur, ref, (out_h, out_w) = _inputs(cur_input, ref_input, spec)
     mv_dy = np.asarray(mv_dy, dtype=np.int32)
@@ -406,7 +454,7 @@ def field_from_vectors(
     # only zeros, as that step itself does, so the gather is clipped there.
     steps_y, steps_x = mv_dy // s, mv_dx // s
     e = min(int(max(np.abs(steps_y).max(), np.abs(steps_x).max())), -(-(k + s) // s))
-    cur_pad, ref_pad = zero_pad(cur, p), zero_pad(ref, p + e * s)
-    diff = _differences(spec, cur_pad, ref_pad, steps_y, steps_x, np.arange(out_h * out_w))
+    cur_pad, ref_pad = zero_pad(cur, p + e * s), zero_pad(ref, p + e * s)
+    diff = _differences(spec, cur_pad, ref_pad, e, steps_y, steps_x, np.arange(out_h * out_w))
     nnz = np.count_nonzero(_kept(np.abs(diff), tau), axis=0).astype(np.int32).reshape(out_h, out_w)
-    return _build_field(spec, cur_pad, ref_pad, steps_y, steps_x, tau, nnz, matched)
+    return _build_field(spec, cur_pad, ref_pad, e, steps_y, steps_x, tau, nnz, matched)

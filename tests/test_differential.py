@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from motionconv import layer as layer_mod
 from motionconv import motion, tensors
 from motionconv.layer import MotionCompLayer
 from motionconv.ledger import FlopsLedger
@@ -142,6 +143,25 @@ def test_search_breaks_near_ties_as_block_sums(seed):
     search_as_loop(*mirror_stack(seed))
 
 
+def test_search_keeps_candidate_zero_when_its_sad_overflows():
+    # float32 differences of finite frames can overflow to inf, and so can a
+    # SAD; candidate (0, 0) is still every position's first best, with its
+    # kept count, as in the per-position loop (the box search once left such
+    # positions matched with a kept count of 0)
+    spec = ConvSpec(weights=np.ones((1, 2, 3, 3), np.float32), padding=1)
+    ref = np.full((2, 5, 6), -3e38, np.float32)
+    ref[:, 2:, :3] = 0.5
+    cur = -ref
+    params = MotionParams(search_range=0, threshold=0.0, match_max_density=0.9)
+    with np.errstate(over="ignore"):
+        field = search(cur, ref, spec, params, None)
+    differs = tensors.zero_pad((cur != ref).astype(np.float32), 1)
+    kept = tensors.unfold_blocks(differs, 3, 1).sum(axis=-1)
+    np.testing.assert_array_equal(field.nnz, kept)
+    np.testing.assert_array_equal(field.matched, kept <= 0.9 * spec.block_size)
+    assert not field.matched.all()
+
+
 @pytest.mark.parametrize("corner", ["top_left", "bottom_right"])
 @pytest.mark.parametrize("stride, padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
 def test_search_on_a_small_active_box(corner, stride, padding):
@@ -203,32 +223,84 @@ def test_nonkey_path_gathers_only_rows_the_gemm_reads(monkeypatch):
 def test_each_frame_is_padded_once(seed, monkeypatch):
     # search pads the two frames for its candidate loop; the near-tie check,
     # the residual builder and the lazy SAD gather from those two planes.
-    # field_from_vectors likewise pads each frame once.
+    # field_from_vectors likewise pads each frame once. In a layer, each
+    # non-key call pads its input once, by the search margin: the search
+    # reads that plane and the cached one, and the fallback gathers from it,
+    # so neither pads. A key frame caches its input unpadded (its conv2d pads
+    # its own plane, as the dense baseline does), so the first non-key frame
+    # after it pads that too.
     cur, ref, spec, params = mirror_stack(seed)
-    pads, gathers = [], []
+    pads, gathers, fallbacks = [], [], []
     real_pad, real_gather = tensors.zero_pad, motion.unfold_blocks
 
-    def counting_pad(x, pad):
-        pads.append(pad)
-        return real_pad(x, pad)
+    def counting_pad(owner):
+        def pad(x, width):
+            pads.append((owner.__name__.rsplit(".")[-1], width))
+            return real_pad(x, width)
+        return pad
 
     def counting_gather(*args, **kwargs):
         gathers.append(1)
         return real_gather(*args, **kwargs)
 
-    for owner in (motion, tensors):
-        monkeypatch.setattr(owner, "zero_pad", counting_pad)
+    def counting_fallback(*args, **kwargs):
+        fallbacks.append(1)
+        return real_gather(*args, **kwargs)
+
+    for owner in (motion, tensors, layer_mod):
+        monkeypatch.setattr(owner, "zero_pad", counting_pad(owner))
     monkeypatch.setattr(motion, "unfold_blocks", counting_gather)
+    monkeypatch.setattr(layer_mod, "unfold_blocks", counting_fallback)
     field = search(cur, ref, spec, params, None)
     field.sad
     # two builder gathers and two SAD gathers; more means near ties ran
     assert len(gathers) > 4
-    assert len(pads) == 2
+    margin = spec.padding + params.search_range * spec.stride
+    assert pads == [("motion", margin)] * 2
     pads.clear()
     rebuilt = field_from_vectors(cur, ref, spec, field.mv_dy, field.mv_dx, field.matched,
                                  tau=params.threshold)
     rebuilt.sad
-    assert len(pads) == 2
+    assert len(pads) == 2 and pads[0] == pads[1]
+
+    # every position with a kept entry falls back to the dense path
+    layer = MotionCompLayer(spec, params.updated(match_max_density=0.0))
+    pads.clear()
+    layer.forward_key(ref, FlopsLedger())
+    assert pads == [("tensors", spec.padding)]
+    for x, want in ((cur, 2), (ref, 1)):
+        pads.clear()
+        layer.forward_nonkey(x, FlopsLedger())
+        assert pads == [("layer", margin)] * want
+    assert fallbacks
+
+
+@pytest.mark.parametrize("padding, search_range", [(0, 0), (1, 0), (0, 1), (1, 1)])
+@pytest.mark.parametrize("edit_after", ["forward_key", "forward_nonkey"])
+def test_cache_owns_its_input(padding, search_range, edit_after):
+    # the layer caches its own padded plane, never the caller's array, so
+    # editing a frame after the call does not reach the next frame's output
+    rng = np.random.default_rng(11)
+    spec = ConvSpec(weights=rng.uniform(-0.5, 0.5, (2, 3, 3, 3)).astype(np.float32),
+                    padding=padding)
+    params = MotionParams(search_range=search_range, threshold=0.01)
+    # small changes between frames, so that most positions are predicted
+    # from the reference and read it
+    base = rng.random((3, 9, 9))
+    frames = [(base + rng.uniform(-0.02, 0.02, base.shape)).astype(np.float32) for _ in range(3)]
+
+    def run(edit):
+        layer = MotionCompLayer(spec, params)
+        xs = [f.copy() for f in frames]
+        layer.forward_key(xs[0], FlopsLedger())
+        if edit == "forward_key":
+            xs[0][...] = 7.0
+        layer.forward_nonkey(xs[1], FlopsLedger())
+        if edit == "forward_nonkey":
+            xs[1][...] = 7.0
+        return layer.forward_nonkey(xs[2], FlopsLedger())
+
+    np.testing.assert_array_equal(run(edit_after), run(None))
 
 
 def test_lazy_sad_ignores_later_edits_to_the_frames():

@@ -38,6 +38,7 @@ class TestForwardKey:
         out = layer.forward_key(x, FlopsLedger())
         np.testing.assert_array_equal(layer.cache.prev_input, x)
         np.testing.assert_array_equal(layer.cache.prev_output, out)
+        assert not layer.cache.prev_input.flags.writeable
 
     def test_flops_charge(self):
         rng = np.random.default_rng(2)
@@ -254,6 +255,28 @@ class TestForwardNonKey:
         out1 = layer.forward_nonkey(x1, FlopsLedger())
         np.testing.assert_array_equal(layer.cache.prev_output, out1)
         np.testing.assert_array_equal(layer.cache.prev_input, x1)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_search_range_change_between_frames(self, stride):
+        # the key frame's cached plane is padded for r=1; a non-key frame at
+        # r=2 pads it again and must equal a layer that ran at r=2 throughout
+        rng = np.random.default_rng(18)
+        spec = make_spec(rng, stride=stride)
+        ref = rng.random((3, 12, 12), dtype=np.float32)
+        frames = [np.roll(ref, 2 * t * stride, axis=2) for t in (1, 2)]
+        changed = MotionCompLayer(spec, MotionParams(search_range=1, threshold=0.01))
+        fresh = MotionCompLayer(spec, MotionParams(search_range=2, threshold=0.01))
+        changed.forward_key(ref, FlopsLedger())
+        fresh.forward_key(ref, FlopsLedger())
+        changed.params = changed.params.updated(search_range=2)
+        for x in frames:
+            led, fresh_led = FlopsLedger(), FlopsLedger()
+            np.testing.assert_array_equal(
+                changed.forward_nonkey(x, led), fresh.forward_nonkey(x, fresh_led)
+            )
+            assert led.counts() == fresh_led.counts()
+            assert led.pred_bytes_moved == fresh_led.pred_bytes_moved
+            assert changed.last_stats == fresh.last_stats
 
     def test_prediction_copies_charge_zero_flops_but_move_bytes(self):
         rng = np.random.default_rng(16)

@@ -49,8 +49,9 @@ def test_ledger_equals_pin(workload, seed, tmp_path, monkeypatch):
 
 def test_traced_attributes_exist():
     # a traced benchmark run replaces these module attributes by name, and
-    # fails to start when one is renamed or removed
-    assert layer.search is motion.search
+    # fails to start when one is renamed or removed; the non-key path calls
+    # the search on padded planes through ``layer.search``
+    assert layer.search is motion.search_planes
     assert layer.conv2d is tensors.conv2d
     assert layer.unfold_blocks is tensors.unfold_blocks
     assert motion.unfold_blocks is tensors.unfold_blocks
@@ -59,7 +60,12 @@ def test_traced_attributes_exist():
     rng = np.random.default_rng(0)
     spec = ConvSpec(weights=rng.uniform(-0.5, 0.5, (2, 1, 3, 3)).astype(np.float32), padding=1)
     frames = [rng.random((1, 6, 6)).astype(np.float32) for _ in range(2)]
-    field = motion.search(frames[1], frames[0], spec, motion.MotionParams(), None)
+    params = motion.MotionParams()
+    planes = [tensors.zero_pad(f, motion.search_margin(spec, params)) for f in frames]
+    # the tracer reads the ledger as positional argument 4
+    ledger = FlopsLedger()
+    field = layer.search(planes[1], planes[0], spec, params, ledger)
+    assert ledger.me_flops > 0
     for attr in ("block_size", "positions", "alpha"):
         assert hasattr(field, attr), attr
     net = scheduler.Network([layer.MotionCompLayer(spec)])
