@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .ledger import FlopsLedger
-from .motion import MotionField, MotionParams, search_margin
+from .motion import MotionParams, search_margin
 from .motion import search_planes as search  # perfbench/tracing.py wraps ``layer.search``
 from .tensors import (
     ConvSpec,
@@ -124,33 +124,6 @@ class NonKeyStats:
         return self.nnz_total / (self.matched * self.block_size)
 
 
-def _check_field(field: MotionField, out_h: int, out_w: int, block_size: int) -> None:
-    """Raise ``LayerError`` unless an externally supplied field fits the
-    ``out_h`` x ``out_w`` output grid and carries a residual that
-    ``forward_nonkey`` can index: ``residual_at`` a strictly increasing
-    1-D integer array of raster indices within the grid, and ``residual``
-    an array of ``(block_size, len(residual_at))`` columns."""
-    if (field.out_h, field.out_w) != (out_h, out_w):
-        raise LayerError(
-            f"motion field grid {(field.out_h, field.out_w)} does not match "
-            f"output grid {(out_h, out_w)}"
-        )
-    residual, at = getattr(field, "residual", None), getattr(field, "residual_at", None)
-    if not isinstance(residual, np.ndarray):
-        raise LayerError("motion field carries no residual array")
-    if not isinstance(at, np.ndarray) or at.ndim != 1 or not np.issubdtype(at.dtype, np.integer):
-        raise LayerError("motion field residual_at must be a 1-D integer array")
-    if (at[1:] <= at[:-1]).any():
-        raise LayerError("motion field residual_at must be strictly increasing")
-    if at.size and (at[0] < 0 or at[-1] >= out_h * out_w):
-        raise LayerError(f"motion field residual_at lies outside [0, {out_h * out_w})")
-    if residual.shape != (block_size, at.size):
-        raise LayerError(
-            f"motion field residual has shape {residual.shape}, "
-            f"expected {(block_size, at.size)}"
-        )
-
-
 class MotionCompLayer:
     """Stateful per-layer operator; frames must arrive in temporal order."""
 
@@ -170,6 +143,8 @@ class MotionCompLayer:
         self.activation = activation
         self.post_scale = self._channel_vec(post_scale, "post_scale")
         self.post_shift = self._channel_vec(post_shift, "post_shift")
+        if not isinstance(compensate, bool):
+            raise ValueError(f"compensate must be a bool, got {compensate!r}")
         # Ablation switch: with compensation off, matched positions are pure
         # predictions and residuals are never convolved.
         self.compensate = compensate
@@ -227,12 +202,12 @@ class MotionCompLayer:
     def forward_key(self, x: FeatureMap, ledger: FlopsLedger) -> FeatureMap:
         """Dense convolution; refreshes the cache with a copy of this frame.
 
-        The copy is cached unpadded (margin 0), and the next non-key frame
-        pads it: a margin pad costs more than the copy, and a key frame
-        followed by another key frame never reads it."""
-        x = ensure_feature_map(x, channels=self.spec.in_channels)
+        ``conv2d`` validates ``x``. The copy is cached unpadded (margin 0),
+        and the next non-key frame pads it: a margin pad costs more than
+        the copy, and a key frame followed by another key frame never
+        reads it."""
         linear = self._affine(conv2d(x, self.spec, ledger))
-        self.cache = LayerCache(plane=x.copy(), margin=0, prev_output=linear)
+        self.cache = LayerCache(plane=np.array(x, dtype=np.float32), margin=0, prev_output=linear)
         self.last_stats = None
         return self._activate(linear)
 
@@ -240,12 +215,7 @@ class MotionCompLayer:
         """Plain convolution path with no cache side effects (oracle runs)."""
         return self._activate(self._affine(conv2d(x, self.spec, ledger)))
 
-    def forward_nonkey(
-        self,
-        x: FeatureMap,
-        ledger: FlopsLedger,
-        field: MotionField | None = None,
-    ) -> FeatureMap:
+    def forward_nonkey(self, x: FeatureMap, ledger: FlopsLedger) -> FeatureMap:
         """Predict from the cached reference output and compensate residuals.
 
         Matched positions copy the cached output at the vector-displaced grid
@@ -254,11 +224,7 @@ class MotionCompLayer:
         copies. No bias is re-added there because the prediction already
         carries it. Unmatched positions, and matched positions whose
         prediction would fall outside the output grid, are computed densely
-        with bias and charged as unmatched work. ``field`` overrides the
-        internal search (residuals must have been built against the cache);
-        its ``residual`` must be ``(block_size, len(residual_at))`` columns
-        for the strictly increasing raster indices ``residual_at``, as
-        ``motion`` builds them, or ``LayerError`` is raised.
+        with bias and charged as unmatched work.
 
         ``x`` is validated and zero-padded once, by the search margin. The
         search reads that plane against the cached one without validating
@@ -279,16 +245,12 @@ class MotionCompLayer:
         spec = self.spec
         h, w = x.shape[1], x.shape[2]
         out_h, out_w = spec.out_shape(h, w)
-        bsz = spec.block_size
         margin = search_margin(spec, self.params)
         plane = zero_pad(x, margin)
-        if field is None:
-            ref_plane = self.cache.plane
-            if self.cache.margin != margin:
-                ref_plane = zero_pad(self.cache.prev_input, margin)
-            field = search(plane, ref_plane, spec, self.params, ledger)
-        else:
-            _check_field(field, out_h, out_w, bsz)
+        ref_plane = self.cache.plane
+        if self.cache.margin != margin:
+            ref_plane = zero_pad(self.cache.prev_input, margin)
+        field = search(plane, ref_plane, spec, self.params, ledger)
         s = spec.stride
         c_out = spec.out_channels
 
@@ -336,7 +298,7 @@ class MotionCompLayer:
             matched=int(rows.size),
             demoted=demoted,
             nnz_total=nnz_total,
-            block_size=bsz,
+            block_size=spec.block_size,
             search_alpha=field.alpha,
         )
         return self._activate(out)

@@ -16,25 +16,20 @@ later gather reads those two planes: ``search`` validates and pads its
 two frames, and ``search_planes``, which the layer calls on planes it
 has already validated and padded, does the rest. Neither frame is
 gathered whole: the near-tie check gathers the blocks of its near
-positions only, and one builder turns per-position vectors, kept counts
+positions only, and the builder turns the winners, their kept counts
 and match flags into a ``MotionField`` by gathering both planes only at
 the blocks the residual GEMM reads, matched positions with a nonzero
-kept count. It thresholds
-their differences (a multiply by the keep mask, no select) into one
-compact residual: a tap-major column per listed position, the layout the
-layer's GEMM takes as it is. ``search`` feeds it the winners and
-``field_from_vectors`` externally chosen vectors. Matches whose residual
-stays too dense are handed back to the dense fallback path. The SAD of
-each position's vector is computed on first access to
-``MotionField.sad``, never on the pipeline path.
+kept count. It thresholds their differences (a multiply by the keep
+mask, no select) into one compact residual: a tap-major column per
+listed position, the layout the layer's GEMM takes as it is. Matches
+whose residual stays too dense are handed back to the dense fallback
+path.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import IO, Callable
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,6 +57,10 @@ class MotionParams:
         if not is_int(self.search_range) or self.search_range < 0:
             raise ValueError(f"search_range must be an integer >= 0, got {self.search_range!r}")
         object.__setattr__(self, "search_range", int(self.search_range))
+        for name in ("threshold", "early_stop_density", "match_max_density"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not self.threshold >= 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
         if not self.early_stop_density <= 1:
@@ -79,19 +78,18 @@ class MotionParams:
 
 @dataclass
 class MotionField:
-    """Per-position search outcome for one frame at one layer.
+    """Per-position search outcome for one frame at one layer, handed from
+    ``search_planes`` to ``MotionCompLayer.forward_nonkey``.
 
     ``mv_dy``/``mv_dx``/``nnz`` hold the winning candidate for every
-    position, including unmatched ones; so does ``sad``, computed on first
-    access. ``residual_at`` lists, as sorted raster indices, the matched
-    positions with ``nnz > 0``: the only positions with a nonzero
-    residual. ``residual`` is ``(block_size,
+    position, including unmatched ones. ``residual_at`` lists, as sorted
+    raster indices, the matched positions with ``nnz > 0``: the only
+    positions with a nonzero residual. ``residual`` is ``(block_size,
     len(residual_at))`` float32 in the tap-major ``unfold_blocks(...,
     at=)`` layout: column n is the thresholded difference of position
     ``residual_at[n]``, zero for entries below the threshold. Every other
     position's residual is zero and is not stored. ``alpha`` is the
-    matched fraction, ``beta`` the mean residual density over matched
-    positions.
+    matched fraction.
     """
 
     out_h: int
@@ -103,15 +101,6 @@ class MotionField:
     nnz: np.ndarray
     residual: np.ndarray
     residual_at: np.ndarray
-    # every position's current-minus-reference column at its vector, on demand
-    _diff_cols: Callable[[], np.ndarray] = field(repr=False, compare=False)
-
-    @cached_property
-    def sad(self) -> np.ndarray:
-        """SAD of every position's winning candidate, summed over its block;
-        computed on first access from the padded planes the field was built
-        from, so later edits to the caller's frames do not reach it."""
-        return _block_sad(self._diff_cols()).reshape(self.out_h, self.out_w)
 
     @property
     def positions(self) -> int:
@@ -120,41 +109,6 @@ class MotionField:
     @property
     def alpha(self) -> float:
         return float(np.count_nonzero(self.matched)) / self.positions
-
-    @property
-    def beta(self) -> float:
-        m = int(np.count_nonzero(self.matched))
-        if m == 0:
-            return 0.0
-        total = int(self.nnz[self.matched].sum())
-        return total / (m * self.block_size)
-
-    def to_csv(self, dest: IO[str] | str) -> None:
-        """Debug dump, one row per output position. The winning candidate's
-        dx/dy/sad/nnz are shown even when the position is unmatched."""
-        close = False
-        if isinstance(dest, str):
-            dest = open(dest, "w", newline="")
-            close = True
-        try:
-            writer = csv.writer(dest)
-            writer.writerow(["i", "j", "matched", "dx", "dy", "sad", "nnz"])
-            for i in range(self.out_h):
-                for j in range(self.out_w):
-                    writer.writerow(
-                        [
-                            i,
-                            j,
-                            int(self.matched[i, j]),
-                            int(self.mv_dx[i, j]),
-                            int(self.mv_dy[i, j]),
-                            repr(float(self.sad[i, j])),
-                            int(self.nnz[i, j]),
-                        ]
-                    )
-        finally:
-            if close:
-                dest.close()
 
 
 def _candidate_offsets(search_range: int) -> list[tuple[int, int]]:
@@ -178,19 +132,9 @@ def _kept(mag: np.ndarray, tau: float) -> np.ndarray:
 def _block_sad(diff: np.ndarray) -> np.ndarray:
     """SAD of every block of gathered differences, blocks along axis 0 as
     ``unfold_blocks(..., at=)`` returns them. Each block is copied to a
-    contiguous row and summed there, the order of a per-block sum;
-    ``MotionField.sad`` holds this sum."""
+    contiguous row and summed there, the order of a per-block sum."""
     rows = np.ascontiguousarray(np.moveaxis(np.abs(diff), 0, -1))
     return np.sum(rows, axis=-1, dtype=np.float64)
-
-
-def _inputs(cur_input: FeatureMap, ref_input: FeatureMap, spec: ConvSpec):
-    """Validated current and reference maps and the output grid shape."""
-    cur = ensure_feature_map(cur_input, channels=spec.in_channels, name="current input")
-    ref = ensure_feature_map(ref_input, channels=spec.in_channels, name="reference input")
-    if cur.shape != ref.shape:
-        raise ValueError(f"current/reference shapes differ: {cur.shape} vs {ref.shape}")
-    return cur, ref, spec.out_shape(cur.shape[1], cur.shape[2])
 
 
 def _differences(
@@ -207,13 +151,12 @@ def _differences(
     by the layer's padding plus ``e`` grid steps, so their grids reach e
     steps beyond the output grid on every side and output position (i, j)
     sits at grid position (i + e, j + e). Each reference block is read at
-    the position's vector in grid steps, its source clipped to that
-    margin."""
-    out_h, out_w = steps_y.shape
+    the position's vector in grid steps, at most e steps long."""
+    out_w = steps_y.shape[1]
     k, s = spec.kernel_size, spec.stride
     i, j = np.divmod(positions, out_w)
-    src_i = np.clip(i + steps_y.ravel()[positions], -e, out_h - 1 + e) + e
-    src_j = np.clip(j + steps_x.ravel()[positions], -e, out_w - 1 + e) + e
+    src_i = i + steps_y.ravel()[positions] + e
+    src_j = j + steps_x.ravel()[positions] + e
     diff = unfold_blocks(cur_pad, k, s, at=(i + e, j + e))
     diff -= unfold_blocks(ref_pad, k, s, at=(src_i, src_j))
     return diff
@@ -238,8 +181,6 @@ def _build_field(
     Both planes are gathered only at matched positions with ``nnz > 0``;
     their differences, times the keep mask, are the residual's columns
     (masked entries of negative differences read -0.0, which equals 0).
-    The field's lazy SAD holds the two planes, which their owner never
-    writes.
     """
     out_h, out_w = steps_y.shape
     need = np.flatnonzero(matched & (nnz > 0))
@@ -254,9 +195,6 @@ def _build_field(
         nnz=nnz,
         residual=np.multiply(diff, _kept(np.abs(diff), tau), out=diff),
         residual_at=need,
-        _diff_cols=lambda: _differences(
-            spec, cur_pad, ref_pad, e, steps_y, steps_x, np.arange(out_h * out_w)
-        ),
     )
 
 
@@ -319,7 +257,7 @@ def search(
     first, so each takes it as its best so far without a comparison.
 
     The box sums add the block's n = k^2 C_in non-negative terms in another
-    order than the per-block sum ``MotionField.sad`` reports. Any order of
+    order than a per-block sum (``_block_sad``). Any order of
     adding them lies within about (n - 1) * 2^-53 of the exact sum,
     relatively, and gives 0 exactly when every term is 0. Two sums whose
     per-block order and box order disagree therefore lie within about
@@ -331,7 +269,11 @@ def search(
     compared. Every comparison, and so every winner, early stop and ledger
     charge, is the one the per-block sums give.
     """
-    cur, ref, _ = _inputs(cur_input, ref_input, spec)
+    cur = ensure_feature_map(cur_input, channels=spec.in_channels, name="current input")
+    ref = ensure_feature_map(ref_input, channels=spec.in_channels, name="reference input")
+    if cur.shape != ref.shape:
+        raise ValueError(f"current/reference shapes differ: {cur.shape} vs {ref.shape}")
+    spec.out_shape(cur.shape[1], cur.shape[2])  # raises when the output grid is empty
     margin = search_margin(spec, params)
     return search_planes(zero_pad(cur, margin), zero_pad(ref, margin), spec, params, ledger)
 
@@ -347,8 +289,7 @@ def search_planes(
     ``search_margin(spec, params)``: the candidate loop and the field
     builder ``search`` describes, with no validation or padding of their
     own. Output position (i, j) sits at grid position (i + r, j + r) of
-    either plane, r the search range. The planes are read, never written,
-    and the field's lazy SAD keeps them.
+    either plane, r the search range. The planes are read, never written.
     """
     k, s = spec.kernel_size, spec.stride
     bsz = spec.block_size
@@ -418,43 +359,3 @@ def search_planes(
     matched = best_nnz <= params.match_max_density * bsz
     return _build_field(spec, cur_pad, ref_pad, r, steps[..., 0], steps[..., 1], tau, best_nnz, matched)
 
-
-def field_from_vectors(
-    cur_input: FeatureMap,
-    ref_input: FeatureMap,
-    spec: ConvSpec,
-    mv_dy: np.ndarray,
-    mv_dx: np.ndarray,
-    matched: np.ndarray,
-    tau: float = 0.0,
-) -> MotionField:
-    """Build a MotionField for externally chosen vectors and match flags.
-
-    Residuals are recomputed from the inputs so the field stays consistent
-    with the frames; reconstruction from any such field is exact at tau=0
-    regardless of vector quality. Vectors must be stride multiples. Every
-    position, matched or not, gets the kept count (from one gather of both
-    frames at every position, each frame padded once, both by the same
-    margin) and the SAD of its vector; unmatched positions carry no
-    residual column.
-    """
-    cur, ref, (out_h, out_w) = _inputs(cur_input, ref_input, spec)
-    mv_dy = np.asarray(mv_dy, dtype=np.int32)
-    mv_dx = np.asarray(mv_dx, dtype=np.int32)
-    matched = np.array(matched, dtype=bool)
-    if mv_dy.shape != (out_h, out_w) or mv_dx.shape != (out_h, out_w) or matched.shape != (out_h, out_w):
-        raise ValueError(f"field arrays must have shape {(out_h, out_w)}")
-    k, s, p = spec.kernel_size, spec.stride, spec.padding
-    if ((mv_dy % s) != 0).any() or ((mv_dx % s) != 0).any():
-        raise ValueError("motion vectors must be integer multiples of the stride")
-    if not tau >= 0:
-        raise ValueError(f"threshold must be >= 0, got {tau}")
-
-    # Sources more than ceil((k + s) / s) grid steps outside the grid read
-    # only zeros, as that step itself does, so the gather is clipped there.
-    steps_y, steps_x = mv_dy // s, mv_dx // s
-    e = min(int(max(np.abs(steps_y).max(), np.abs(steps_x).max())), -(-(k + s) // s))
-    cur_pad, ref_pad = zero_pad(cur, p + e * s), zero_pad(ref, p + e * s)
-    diff = _differences(spec, cur_pad, ref_pad, e, steps_y, steps_x, np.arange(out_h * out_w))
-    nnz = np.count_nonzero(_kept(np.abs(diff), tau), axis=0).astype(np.int32).reshape(out_h, out_w)
-    return _build_field(spec, cur_pad, ref_pad, e, steps_y, steps_x, tau, nnz, matched)

@@ -5,9 +5,11 @@ of the vectorized implementations they check. The per-position kernels
 below them (``SparseBlock``, ``threshold_residual``, ``sad``,
 ``extract_block``, ``read_block_at``, ``conv_sparse_block``) compute one
 receptive field at a time, as the pipeline once did; ``loop_forward_nonkey``
-composes them into a position-by-position non-key layer forward.
-``dense_residual`` expands a field's compact residual columns into one row
-per position, the form the per-position references compare with.
+composes them into a position-by-position non-key layer forward, and
+``oracle_field`` into the ``MotionField`` of chosen vectors, which tests
+hand to a layer in place of its own search. ``dense_residual`` expands a
+field's compact residual columns into one row per position, the form the
+per-position references compare with.
 
 The rest are references only tests use: ``unpack``, the inverse of
 ``bayer.pack``, and ``expected_motion``, the ground-truth vectors a search
@@ -21,6 +23,7 @@ import numpy as np
 
 from motionconv.bayer import PATTERNS, ROLE_NAMES, BayerFrame
 from motionconv.ledger import FlopsLedger
+from motionconv.motion import MotionField
 from motionconv.synth import SceneSpec
 from motionconv.tensors import ConvSpec, ensure_feature_map
 
@@ -234,7 +237,7 @@ def loop_search(cur, ref, spec, params, ledger=None):
     (0, 0) first then raster order, strict SAD improvement, early stop on
     the best candidate's kept count, match when that count stays within
     ``match_max_density``. Returns per-position arrays
-    ``(mv_dy, mv_dx, matched, sad, blocks)`` where ``blocks[i][j]`` is the
+    ``(mv_dy, mv_dx, matched, blocks)`` where ``blocks[i][j]`` is the
     winning candidate's ``SparseBlock``."""
     out_h, out_w = spec.out_shape(cur.shape[1], cur.shape[2])
     k, s, p = spec.kernel_size, spec.stride, spec.padding
@@ -242,7 +245,6 @@ def loop_search(cur, ref, spec, params, ledger=None):
     mv_dy = np.zeros((out_h, out_w), dtype=np.int32)
     mv_dx = np.zeros((out_h, out_w), dtype=np.int32)
     matched = np.zeros((out_h, out_w), dtype=bool)
-    sad_arr = np.zeros((out_h, out_w), dtype=np.float64)
     blocks = [[None] * out_w for _ in range(out_h)]
     for i in range(out_h):
         for j in range(out_w):
@@ -256,12 +258,11 @@ def loop_search(cur, ref, spec, params, ledger=None):
                     best = (cost, qy, qx, blk)
                     if params.early_stop_enabled and blk.nnz <= params.early_stop_density * bsz:
                         break
-            cost, qy, qx, blk = best
+            _, qy, qx, blk = best
             mv_dy[i, j], mv_dx[i, j] = qy * s, qx * s
-            sad_arr[i, j] = cost
             matched[i, j] = blk.nnz <= params.match_max_density * bsz
             blocks[i][j] = blk
-    return mv_dy, mv_dx, matched, sad_arr, blocks
+    return mv_dy, mv_dx, matched, blocks
 
 
 def loop_forward_nonkey(layer_spec, ref_input, ref_output, x, mv_dy, mv_dx, matched, tau,
@@ -295,6 +296,34 @@ def loop_forward_nonkey(layer_spec, ref_input, ref_output, x, mv_dy, mv_dx, matc
                 if ledger is not None:
                     ledger.charge("unmatched", 2 * spec.block_size * c_out)
     return out
+
+
+def oracle_field(cur, ref, spec, mv_dy, mv_dx, matched, tau) -> MotionField:
+    """``MotionField`` of chosen vectors (input pixels, stride multiples of
+    any length) and match flags, one position at a time. Every position
+    gets the kept count of ``threshold_residual`` between its block and
+    the reference block at its vector, read as zeros past the frame; the
+    matched positions with kept entries get their thresholded blocks as
+    tap-major residual columns, in raster order."""
+    out_h, out_w = spec.out_shape(cur.shape[1], cur.shape[2])
+    k, s, p = spec.kernel_size, spec.stride, spec.padding
+    mv_dy = np.asarray(mv_dy, dtype=np.int32)
+    mv_dx = np.asarray(mv_dx, dtype=np.int32)
+    matched = np.asarray(matched, dtype=bool)
+    nnz = np.zeros((out_h, out_w), dtype=np.int32)
+    rows = np.zeros((out_h * out_w, spec.block_size), dtype=np.float32)
+    for i in range(out_h):
+        for j in range(out_w):
+            ref_blk = read_block_at(ref, i * s - p + int(mv_dy[i, j]), j * s - p + int(mv_dx[i, j]), k)
+            blk = threshold_residual(extract_block(cur, spec, i, j), ref_blk, tau, anchor=(i, j))
+            nnz[i, j] = blk.nnz
+            rows[i * out_w + j] = blk.densify(spec.in_channels, k).ravel()
+    at = np.flatnonzero(matched & (nnz > 0))
+    return MotionField(
+        out_h=out_h, out_w=out_w, block_size=spec.block_size, matched=matched,
+        mv_dy=mv_dy, mv_dx=mv_dx, nnz=nnz, residual=np.ascontiguousarray(rows[at].T),
+        residual_at=at,
+    )
 
 
 def dense_residual(field) -> np.ndarray:

@@ -119,6 +119,11 @@ class TestNetworkLoading:
         ({"weights": "l0.bin", "params": {"treshold": 0.0}}, "treshold"),
         ({"weights": "l0.bin", "threshold": 0.0}, "threshold"),
         ({"weights": "l0.bin", "params": {"search_range": 1.5}}, "search_range"),
+        # strings and bools are not numbers, and a string is not a bool: they
+        # once ran with compensation on, ran at tau=1, or failed naming no key
+        ({"weights": "l0.bin", "compensate": "false"}, "compensate"),
+        ({"weights": "l0.bin", "params": {"threshold": True}}, "threshold"),
+        ({"weights": "l0.bin", "params": {"threshold": "0.01"}}, "threshold"),
     ])
     def test_bad_layer_entry_is_usage_error(self, tmp_path, capsys, entry, key):
         from motionconv.synth import random_conv_spec

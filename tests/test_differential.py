@@ -1,12 +1,12 @@
 """The vectorised residual path against the per-position references.
 
-``search``, ``field_from_vectors`` and ``MotionCompLayer.forward_nonkey``
-work on one compact residual (``MotionField.residual`` columns at
-``residual_at``); ``tests/oracles.py`` keeps the one-block-at-a-time
-kernels they replaced. Random small layer stacks run through both.
-Inputs sit on a 1/256 grid, so every SAD is an exact float64 sum, ties
-(which the search breaks by candidate order) are common, and differences
-equal to a threshold on that grid hit its boundary.
+``search`` and ``MotionCompLayer.forward_nonkey`` work on one compact
+residual (``MotionField.residual`` columns at ``residual_at``);
+``tests/oracles.py`` keeps the one-block-at-a-time kernels they replaced.
+Random small layer stacks run through both. Inputs sit on a 1/256 grid,
+so every SAD is an exact float64 sum, ties (which the search breaks by
+candidate order) are common, and differences equal to a threshold on
+that grid hit its boundary.
 
 ``search`` scores candidates with box sums, which add in another order
 than the per-block sum. Two more cases check what the 1/256 grid cannot
@@ -24,14 +24,13 @@ from motionconv import layer as layer_mod
 from motionconv import motion, tensors
 from motionconv.layer import MotionCompLayer
 from motionconv.ledger import FlopsLedger
-from motionconv.motion import MotionParams, field_from_vectors, search
+from motionconv.motion import MotionParams, search
 from motionconv.scheduler import GopConfig, Network, run_sequence
 from motionconv.synth import SceneSpec, generate, random_conv_spec
 from motionconv.tensors import ConvSpec
 
 from oracles import (
-    dense_residual, extract_block, loop_forward_nonkey, loop_search, read_block_at, sad,
-    threshold_residual,
+    dense_residual, extract_block, loop_forward_nonkey, loop_search, oracle_field, read_block_at,
 )
 
 
@@ -70,12 +69,11 @@ def test_search_matches_per_position_loop(case):
     spec, params, cur, ref, _ = case
     led, loop_led = FlopsLedger(), FlopsLedger()
     field = search(cur, ref, spec, params, led)
-    mv_dy, mv_dx, matched, sad_arr, blocks = loop_search(cur, ref, spec, params, loop_led)
+    mv_dy, mv_dx, matched, blocks = loop_search(cur, ref, spec, params, loop_led)
 
     np.testing.assert_array_equal(field.mv_dy, mv_dy)
     np.testing.assert_array_equal(field.mv_dx, mv_dx)
     np.testing.assert_array_equal(field.matched, matched)
-    np.testing.assert_array_equal(field.sad, sad_arr)
     assert led.me_flops == loop_led.me_flops
     assert field.residual.dtype == np.float32
     np.testing.assert_array_equal(field.residual_at, np.flatnonzero(matched & (field.nnz > 0)))
@@ -119,16 +117,15 @@ def mirror_stack(seed):
 
 
 def search_as_loop(cur, ref, spec, params):
-    """Run ``search`` and ``loop_search``, check that vectors, match flags,
-    SAD and me FLOPs agree, and return the field, its me FLOPs and the
-    oracle's blocks."""
+    """Run ``search`` and ``loop_search``, check that vectors, match flags
+    and me FLOPs agree, and return the field, its me FLOPs and the oracle's
+    blocks."""
     led, loop_led = FlopsLedger(), FlopsLedger()
     field = search(cur, ref, spec, params, led)
-    mv_dy, mv_dx, matched, sad_arr, blocks = loop_search(cur, ref, spec, params, loop_led)
+    mv_dy, mv_dx, matched, blocks = loop_search(cur, ref, spec, params, loop_led)
     np.testing.assert_array_equal(field.mv_dy, mv_dy)
     np.testing.assert_array_equal(field.mv_dx, mv_dx)
     np.testing.assert_array_equal(field.matched, matched)
-    np.testing.assert_array_equal(field.sad, sad_arr)
     assert led.me_flops == loop_led.me_flops
     return field, led.me_flops, blocks
 
@@ -221,9 +218,8 @@ def test_nonkey_path_gathers_only_rows_the_gemm_reads(monkeypatch):
 
 @pytest.mark.parametrize("seed", [63, 100])
 def test_each_frame_is_padded_once(seed, monkeypatch):
-    # search pads the two frames for its candidate loop; the near-tie check,
-    # the residual builder and the lazy SAD gather from those two planes.
-    # field_from_vectors likewise pads each frame once. In a layer, each
+    # search pads the two frames for its candidate loop; the near-tie check
+    # and the residual builder gather from those two planes. In a layer, each
     # non-key call pads its input once, by the search margin: the search
     # reads that plane and the cached one, and the fallback gathers from it,
     # so neither pads. A key frame caches its input unpadded (its conv2d pads
@@ -251,17 +247,11 @@ def test_each_frame_is_padded_once(seed, monkeypatch):
         monkeypatch.setattr(owner, "zero_pad", counting_pad(owner))
     monkeypatch.setattr(motion, "unfold_blocks", counting_gather)
     monkeypatch.setattr(layer_mod, "unfold_blocks", counting_fallback)
-    field = search(cur, ref, spec, params, None)
-    field.sad
-    # two builder gathers and two SAD gathers; more means near ties ran
-    assert len(gathers) > 4
+    search(cur, ref, spec, params, None)
+    # two builder gathers; more means near ties ran
+    assert len(gathers) > 2
     margin = spec.padding + params.search_range * spec.stride
     assert pads == [("motion", margin)] * 2
-    pads.clear()
-    rebuilt = field_from_vectors(cur, ref, spec, field.mv_dy, field.mv_dx, field.matched,
-                                 tau=params.threshold)
-    rebuilt.sad
-    assert len(pads) == 2 and pads[0] == pads[1]
 
     # every position with a kept entry falls back to the dense path
     layer = MotionCompLayer(spec, params.updated(match_max_density=0.0))
@@ -301,55 +291,6 @@ def test_cache_owns_its_input(padding, search_range, edit_after):
         return layer.forward_nonkey(xs[2], FlopsLedger())
 
     np.testing.assert_array_equal(run(edit_after), run(None))
-
-
-def test_lazy_sad_ignores_later_edits_to_the_frames():
-    cur, ref, spec, params = mirror_stack(63)
-    want = search(cur.copy(), ref.copy(), spec, params, None).sad
-    field = search(cur, ref, spec, params, None)
-    cur[...] = 0
-    ref[...] = 1
-    np.testing.assert_array_equal(field.sad, want)
-
-
-@settings(deadline=None, max_examples=100)
-@given(stacks())
-def test_field_from_search_vectors_reproduces_search(case):
-    spec, params, cur, ref, _ = case
-    field = search(cur, ref, spec, params, None)
-    rebuilt = field_from_vectors(cur, ref, spec, field.mv_dy, field.mv_dx, field.matched,
-                                 tau=params.threshold)
-    np.testing.assert_array_equal(rebuilt.residual, field.residual)
-    np.testing.assert_array_equal(rebuilt.nnz, field.nnz)
-    np.testing.assert_array_equal(rebuilt.sad, field.sad)
-    assert rebuilt.alpha == field.alpha
-    assert rebuilt.beta == field.beta
-
-
-@settings(deadline=None, max_examples=40)
-@given(stacks(), st.integers(1, 12))
-def test_field_from_far_vectors_matches_block_reads(case, reach):
-    # vectors far beyond the frame read zeros, as read_block_at does
-    spec, params, cur, ref, rng = case
-    out_h, out_w = spec.out_shape(cur.shape[1], cur.shape[2])
-    s, p, k = spec.stride, spec.padding, spec.kernel_size
-    mv_dy = rng.integers(-reach, reach + 1, size=(out_h, out_w)).astype(np.int32) * s
-    mv_dx = rng.integers(-reach, reach + 1, size=(out_h, out_w)).astype(np.int32) * s
-    matched = rng.random((out_h, out_w)) < 0.8
-    field = field_from_vectors(cur, ref, spec, mv_dy, mv_dx, matched, tau=params.threshold)
-    residual = dense_residual(field)
-    for i in range(out_h):
-        for j in range(out_w):
-            row = residual[i * out_w + j]
-            ref_blk = read_block_at(ref, i * s - p + int(mv_dy[i, j]), j * s - p + int(mv_dx[i, j]), k)
-            cur_blk = extract_block(cur, spec, i, j)
-            blk = threshold_residual(cur_blk, ref_blk, params.threshold)
-            assert field.nnz[i, j] == blk.nnz
-            assert field.sad[i, j] == sad(cur_blk, ref_blk, None)
-            if not matched[i, j]:
-                assert not row.any()
-                continue
-            np.testing.assert_array_equal(row, block_row(blk, spec))
 
 
 @settings(deadline=None, max_examples=100)
@@ -403,14 +344,18 @@ def test_ledger_counts_pinned_on_seeded_sequence():
 
 
 def forward_nonkey_as_loop(spec, params, cur, ref, field=None):
-    """Run ``forward_nonkey`` after a key frame on ``ref``, with ``field``
-    or the layer's own search, check output and res/unmatched FLOPs against
-    ``loop_forward_nonkey`` on the same vectors, and return the layer."""
+    """Run ``forward_nonkey`` after a key frame on ``ref``, with its search
+    returning ``field`` or searching itself, check output and res/unmatched
+    FLOPs against ``loop_forward_nonkey`` on the same vectors, and return
+    the layer."""
     layer = MotionCompLayer(spec, params)
     layer.forward_key(ref, FlopsLedger())
     ref_output = layer.cache.prev_output.copy()
     led = FlopsLedger()
-    out = layer.forward_nonkey(cur, led, field=field)
+    with pytest.MonkeyPatch.context() as mp:
+        if field is not None:
+            mp.setattr(layer_mod, "search", lambda *args: field)
+        out = layer.forward_nonkey(cur, led)
     if field is None:
         field = search(cur, ref, spec, params, None)
     loop_led = FlopsLedger()
@@ -446,8 +391,7 @@ def test_forward_nonkey_demotes_predictions_off_the_grid(case, reach):
     steps_y[0, 0] = -1
     matched = rng.random((out_h, out_w)) < 0.8
     matched[0, 0] = True
-    field = field_from_vectors(cur, ref, spec, steps_y * s, steps_x * s, matched,
-                               tau=params.threshold)
+    field = oracle_field(cur, ref, spec, steps_y * s, steps_x * s, matched, params.threshold)
     layer = forward_nonkey_as_loop(spec, params, cur, ref, field)
     src_i = np.arange(out_h)[:, None] + steps_y
     src_j = np.arange(out_w)[None, :] + steps_x
@@ -469,8 +413,8 @@ def test_forward_nonkey_demotes_positions_that_carry_a_residual(case):
     steps_x = np.zeros((out_h, out_w), dtype=np.int32)
     steps_y[0], steps_y[-1] = -1, 1
     steps_x[:, 0], steps_x[:, -1] = -1, 1
-    field = field_from_vectors(cur, ref, spec, steps_y * s, steps_x * s,
-                               np.ones((out_h, out_w), bool), tau=0.0)
+    field = oracle_field(cur, ref, spec, steps_y * s, steps_x * s,
+                         np.ones((out_h, out_w), bool), 0.0)
     layer = forward_nonkey_as_loop(spec, params, cur, ref, field)
     off = (steps_y != 0) | (steps_x != 0)
     assert layer.last_stats.demoted == np.count_nonzero(off)

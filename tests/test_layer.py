@@ -3,16 +3,26 @@ import json
 import numpy as np
 import pytest
 
+from motionconv import layer as layer_mod
+from motionconv import tensors
 from motionconv.layer import LayerError, MotionCompLayer
 from motionconv.ledger import FlopsLedger
-from motionconv.motion import MotionParams, field_from_vectors
+from motionconv.motion import MotionParams
 from motionconv.tensors import ConvSpec, conv2d, save_weights
+
+from oracles import oracle_field
 
 
 def make_spec(rng, c_in=3, c_out=8, k=3, stride=1, padding=1, bias=True):
     weights = rng.uniform(-0.4, 0.4, size=(c_out, c_in, k, k)).astype(np.float32)
     b = rng.uniform(-0.2, 0.2, size=c_out).astype(np.float32) if bias else None
     return ConvSpec(weights=weights, bias=b, stride=stride, padding=padding)
+
+
+def search_returns(monkeypatch, field):
+    """Make every layer's search return ``field``: a non-key frame then runs
+    on chosen vectors and match flags, and charges no me FLOPs."""
+    monkeypatch.setattr(layer_mod, "search", lambda *args: field)
 
 
 def lossless_params(**kw):
@@ -39,6 +49,25 @@ class TestForwardKey:
         np.testing.assert_array_equal(layer.cache.prev_input, x)
         np.testing.assert_array_equal(layer.cache.prev_output, out)
         assert not layer.cache.prev_input.flags.writeable
+
+    def test_input_validated_once(self, monkeypatch):
+        # conv2d validates the frame, and the layer does not validate it again
+        calls = []
+        real = tensors.ensure_feature_map
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for owner in (layer_mod, tensors):
+            monkeypatch.setattr(owner, "ensure_feature_map", counting)
+        rng = np.random.default_rng(15)
+        layer = MotionCompLayer(make_spec(rng))
+        layer.forward_key(rng.random((3, 8, 8)), FlopsLedger())
+        assert len(calls) == 1
+        assert layer.cache.prev_input.dtype == np.float32
+        with pytest.raises(ValueError, match="input has 2 channels, expected 3"):
+            layer.forward_key(rng.random((2, 8, 8), dtype=np.float32), FlopsLedger())
 
     def test_flops_charge(self):
         rng = np.random.default_rng(2)
@@ -82,48 +111,6 @@ class TestResetAndCacheContract:
         with pytest.raises(LayerError, match="differs"):
             layer.forward_nonkey(rng.random((3, 8, 9), dtype=np.float32), FlopsLedger())
 
-    def _layer_and_field(self, seed):
-        rng = np.random.default_rng(seed)
-        spec = make_spec(rng)
-        x0 = rng.random((3, 8, 8), dtype=np.float32)
-        x1 = rng.random((3, 8, 8), dtype=np.float32)
-        layer = MotionCompLayer(spec, lossless_params())
-        layer.forward_key(x0, FlopsLedger())
-        out_h, out_w = spec.out_shape(8, 8)
-        zeros = np.zeros((out_h, out_w), dtype=np.int32)
-        field = field_from_vectors(x1, x0, spec, zeros, zeros, np.ones((out_h, out_w), bool))
-        return layer, field, x1
-
-    def test_external_field_without_residual_rejected(self):
-        layer, field, x1 = self._layer_and_field(40)
-        del field.residual
-        with pytest.raises(LayerError, match="no residual"):
-            layer.forward_nonkey(x1, FlopsLedger(), field=field)
-
-    def test_external_field_residual_shape_rejected(self):
-        layer, field, x1 = self._layer_and_field(41)
-        field.residual = field.residual[:-1]
-        with pytest.raises(LayerError, match="residual has shape"):
-            layer.forward_nonkey(x1, FlopsLedger(), field=field)
-
-    @pytest.mark.parametrize("edit, match", [
-        (None, "1-D integer"),
-        (lambda at: at.reshape(1, -1), "1-D integer"),
-        (lambda at: at.astype(np.float64), "1-D integer"),
-        (lambda at: np.concatenate([at[:1], at[:-1]]), "strictly increasing"),
-        (lambda at: at - 1, "outside"),
-        (lambda at: at + 1, "outside"),
-    ], ids=["missing", "2-d", "float", "repeated", "negative", "past-the-grid"])
-    def test_external_field_residual_at_rejected(self, edit, match):
-        layer, field, x1 = self._layer_and_field(42)
-        assert field.residual_at.tolist() == list(range(field.positions))
-        if edit is None:
-            del field.residual_at
-        else:
-            field.residual_at = edit(field.residual_at)
-        with pytest.raises(LayerError, match=match):
-            layer.forward_nonkey(x1, FlopsLedger(), field=field)
-
 
 class TestForwardNonKey:
     def test_static_input_returns_cached_output_exactly(self):
@@ -150,7 +137,7 @@ class TestForwardNonKey:
     @pytest.mark.parametrize("affine", ["none", "scale", "shift", "both"])
     @pytest.mark.parametrize("bias", [False, True])
     @pytest.mark.parametrize("activation", ["none", "relu", "leaky_relu"])
-    def test_all_unmatched_fallback_is_dense(self, activation, bias, affine, stride):
+    def test_all_unmatched_fallback_is_dense(self, activation, bias, affine, stride, monkeypatch):
         # the fallback and the key path share one row routine and one affine,
         # so a field that matches nothing reproduces the dense path bit for bit
         rng = np.random.default_rng(9)
@@ -165,9 +152,10 @@ class TestForwardNonKey:
         layer.forward_key(x0, FlopsLedger())
         grid = spec.out_shape(12, 12)
         zeros = np.zeros(grid, dtype=np.int32)
-        field = field_from_vectors(x1, x0, spec, zeros, zeros, np.zeros(grid, dtype=bool))
+        search_returns(monkeypatch, oracle_field(x1, x0, spec, zeros, zeros,
+                                                 np.zeros(grid, dtype=bool), 0.0))
         led = FlopsLedger()
-        out = layer.forward_nonkey(x1, led, field=field)
+        out = layer.forward_nonkey(x1, led)
         np.testing.assert_array_equal(out, layer.dense_forward(x1))
         assert led.counts() == {"key": 0, "me": 0, "res": 0,
                                 "unmatched": spec.conv_flops(12, 12),
@@ -183,7 +171,7 @@ class TestForwardNonKey:
         assert layer.last_stats.matched > 0
         np.testing.assert_allclose(out, conv2d(x1, spec, None), atol=1e-4, rtol=0)
 
-    def test_exact_for_arbitrary_motion_fields(self):
+    def test_exact_for_arbitrary_motion_fields(self, monkeypatch):
         # correctness never depends on vector quality, only cost does
         rng = np.random.default_rng(11)
         spec = make_spec(rng)
@@ -198,11 +186,11 @@ class TestForwardNonKey:
             mv_dy = trial_rng.integers(-2, 3, size=(out_h, out_w)).astype(np.int32)
             mv_dx = trial_rng.integers(-2, 3, size=(out_h, out_w)).astype(np.int32)
             matched = trial_rng.random((out_h, out_w)) < 0.7
-            field = field_from_vectors(x1, x0, spec, mv_dy, mv_dx, matched, tau=0.0)
-            out = layer.forward_nonkey(x1, FlopsLedger(), field=field)
+            search_returns(monkeypatch, oracle_field(x1, x0, spec, mv_dy, mv_dx, matched, 0.0))
+            out = layer.forward_nonkey(x1, FlopsLedger())
             np.testing.assert_allclose(out, oracle, atol=1e-4, rtol=0)
 
-    def test_out_of_grid_prediction_demoted_to_dense(self):
+    def test_out_of_grid_prediction_demoted_to_dense(self, monkeypatch):
         rng = np.random.default_rng(12)
         spec = make_spec(rng)
         x0 = rng.random((3, 8, 8), dtype=np.float32)
@@ -213,9 +201,10 @@ class TestForwardNonKey:
         # every position claims a vector pointing one full grid step up-left;
         # top row and left column predictions leave the grid
         mv = np.full((out_h, out_w), -1, dtype=np.int32)
-        field = field_from_vectors(x1, x0, spec, mv, mv, np.ones((out_h, out_w), bool), tau=0.0)
+        search_returns(monkeypatch, oracle_field(x1, x0, spec, mv, mv,
+                                                 np.ones((out_h, out_w), bool), 0.0))
         led = FlopsLedger()
-        out = layer.forward_nonkey(x1, led, field=field)
+        out = layer.forward_nonkey(x1, led)
         demoted = out_h + out_w - 1
         assert layer.last_stats.demoted == demoted
         assert led.unmatched_flops == 2 * spec.block_size * spec.out_channels * demoted
