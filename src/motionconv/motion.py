@@ -2,32 +2,37 @@
 
 Every output position owns one block the size of the kernel's receptive
 field. Candidates are stride-aligned offsets within the search range,
-and the search loop scores them by SAD against the reference frame. It
-scores a candidate for all positions at once: one difference of the
-padded frames, cropped to the box of positions still searching, summed
-over each block with a separable box filter (the window-cost aggregation
-of stereo block matching). Box sums add in another order than per-block
-sums, so near-ties are re-decided on per-block sums, and every decision
-is the one per-block sums give. The same loop box-sums the kept entries
-of every candidate that improves a position, so each position leaves it
-with its winner's kept count. The loop reads both frames as planes
-zero-padded once by the search margin (``search_margin``), and every
-later gather reads those two planes: ``search`` validates and pads its
-two frames, and ``search_planes``, which the layer calls on planes it
-has already validated and padded, does the rest. Neither frame is
-gathered whole: the near-tie check gathers the blocks of its near
-positions only, and the builder turns the winners, their kept counts
-and match flags into a ``MotionField`` by gathering both planes only at
-the blocks the residual GEMM reads, matched positions with a nonzero
-kept count. It thresholds their differences (a multiply by the keep
-mask, no select) into one compact residual: a tap-major column per
-listed position, the layout the layer's GEMM takes as it is. Matches
-whose residual stays too dense are handed back to the dense fallback
-path.
+and the search scores them by SAD against the reference frame for all
+positions at once: the difference of the padded frames, its magnitude
+summed over channels and then over each block with a separable box filter
+(the window-cost aggregation of stereo block matching). Candidate (0, 0)
+is scored over the whole grid and retires the positions whose residual is
+already sparse enough; the other candidates are scored in one batch over
+the bounding box of the positions still searching, into stacked
+(candidate, row, column) SADs and kept counts. The decisions of a
+sequential candidate loop (strict improvement, early stop, winner) are
+then replayed on the stacks with whole-array operations. Box sums add in
+another order than per-block sums, so a position with a near-tie among
+the candidates it evaluates has all its SADs recomputed as per-block sums
+and is replayed again: every decision is the one per-block sums give. The
+search reads both frames as planes zero-padded once by the search margin
+(``search_margin``), and every later gather reads those two planes:
+``search`` validates and pads its two frames, and ``search_planes``,
+which the layer calls on planes it has already validated and padded, does
+the rest. Neither frame is gathered whole: the near-tie check gathers
+the blocks of its near positions only, and the builder turns the
+winners, their kept counts and match flags into a ``MotionField`` by
+gathering both planes only at the blocks the residual GEMM reads,
+matched positions with a nonzero kept count. It thresholds their
+differences (a multiply by the keep mask, no select) into one compact
+residual: a tap-major column per listed position, the layout the layer's
+GEMM takes as it is. Matches whose residual stays too dense are handed
+back to the dense fallback path.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -121,12 +126,12 @@ def _candidate_offsets(search_range: int) -> list[tuple[int, int]]:
     return offsets
 
 
-def _kept(mag: np.ndarray, tau: float) -> np.ndarray:
+def _kept(mag: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.ndarray:
     """Entries a residual keeps, given the magnitudes of the differences:
     magnitude >= tau, boundary values included. Zero differences never
     count, so tau=0 keeps exactly the nonzero differences. For magnitudes
     (never negative or NaN) this is one comparison either way."""
-    return mag >= tau if tau > 0 else mag != 0
+    return np.greater_equal(mag, tau, out=out) if tau > 0 else np.not_equal(mag, 0, out=out)
 
 
 def _block_sad(diff: np.ndarray) -> np.ndarray:
@@ -204,16 +209,105 @@ _NEAR_TIE = 1e-9
 
 
 def _box(plane: np.ndarray, k: int, s: int, out_h: int, out_w: int, acc) -> np.ndarray:
-    """Sums over the k x k windows of ``plane`` whose corners lie on the
-    stride-``s`` grid, in dtype ``acc``: a k-tap horizontal sum, then a
-    k-tap vertical one."""
-    rows = plane[:, : (out_w - 1) * s + 1 : s].astype(acc)
+    """Sums over the k x k windows of ``plane``'s last two axes whose
+    corners lie on the stride-``s`` grid, in dtype ``acc``: a k-tap
+    horizontal sum, then a k-tap vertical one. Leading axes are kept."""
+    rows = plane[..., : (out_w - 1) * s + 1 : s].astype(acc)
     for dx in range(1, k):
-        rows += plane[:, dx : dx + (out_w - 1) * s + 1 : s]
-    out = rows[: (out_h - 1) * s + 1 : s].copy()
+        rows += plane[..., dx : dx + (out_w - 1) * s + 1 : s]
+    out = rows[..., : (out_h - 1) * s + 1 : s, :].copy()
     for dy in range(1, k):
-        out += rows[dy : dy + (out_h - 1) * s + 1 : s]
+        out += rows[..., dy : dy + (out_h - 1) * s + 1 : s, :]
     return out
+
+
+def _score(
+    cur_pad: np.ndarray,
+    ref_pad: np.ndarray,
+    k: int,
+    s: int,
+    tau: float,
+    corner: tuple[int, int],
+    out_h: int,
+    out_w: int,
+    shifts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Box SADs (float64) and kept counts (int32), each ``(len(shifts),
+    out_h, out_w)``, of the ``out_h x out_w`` stride-``s`` windows of
+    ``cur_pad`` whose first corner is the plane pixel ``corner``, against
+    the windows of ``ref_pad`` shifted by each ``(dy, dx)`` of ``shifts``
+    in pixels.
+
+    Per shift, the box's difference is taken, its absolute value summed
+    over channels in float64 and its kept entries counted per pixel; one
+    box filter per stack then sums each window. Where the box spans at
+    least half the plane's width, each channel's rows of the box are
+    subtracted as one contiguous run of the flattened plane, which runs
+    through the columns beside the box: per-pixel results then sit in rows
+    of the plane's width, and the box filter reads only the box's columns.
+    A narrower box is subtracted as a 3-D crop, because runs would mostly
+    read the columns beside it. Either way every element is the difference
+    of the same two pixels."""
+    c, _, wp = cur_pad.shape
+    hh, ww = (out_h - 1) * s + k, (out_w - 1) * s + k
+    if 2 * ww >= wp:
+        width, cur, ref = wp, cur_pad.reshape(c, -1), ref_pad.reshape(c, -1)
+
+        def window(plane, y, x):
+            return plane[:, y * wp + x :][:, : (hh - 1) * wp + ww]
+    else:
+        width, cur, ref = ww, cur_pad, ref_pad
+
+        def window(plane, y, x):
+            return plane[:, y : y + hh, x : x + ww]
+
+    cur = window(cur, *corner)
+    run = (hh - 1) * width + ww
+    mag = np.empty((c, run), np.float32)
+    keep = np.empty((c, run), bool)
+    sad_px = np.empty((len(shifts), hh * width))
+    # per-pixel kept counts, at most C, summed in the narrowest type that holds them
+    kept_px = np.empty((len(shifts), hh * width), np.min_scalar_type(c))
+    for n, (dy, dx) in enumerate(shifts):
+        shifted = window(ref, corner[0] + int(dy), corner[1] + int(dx))
+        np.subtract(cur, shifted, out=mag.reshape(cur.shape))
+        np.abs(mag, out=mag)
+        np.sum(mag, axis=0, dtype=np.float64, out=sad_px[n, :run])
+        _kept(mag, tau, out=keep)
+        np.add.reduce(keep.view(np.uint8), axis=0, dtype=kept_px.dtype, out=kept_px[n, :run])
+
+    def box(px, acc):
+        return _box(px.reshape(-1, hh, width)[..., :ww], k, s, out_h, out_w, acc)
+
+    return box(sad_px, np.float64), box(kept_px, np.int32)
+
+
+def _replay(sad: np.ndarray, kept: np.ndarray, trigger: int):
+    """Replay the sequential candidate loop on stacked scores, candidates
+    along axis 0 in search order: each candidate that scores strictly below
+    the best so far improves its position, and a position retires after the
+    first improving candidate (candidate 0 always improves) whose kept
+    count is at or below ``trigger``. Returns the best so far after each
+    candidate, the mask of candidates each position evaluates (a prefix of
+    the stack) and the winner, the last improving candidate evaluated,
+    which is the first of least SAD among them.
+
+    The running minimum and the retirement prefix are one whole-plane
+    operation per candidate: numpy's ``accumulate`` along the leading axis
+    steps through it position by position, several times slower here."""
+    n = len(sad)
+    best = sad.copy()
+    for c in range(1, n):
+        np.minimum(best[c - 1], sad[c], out=best[c])
+    improved = np.ones(sad.shape, bool)
+    np.less(sad[1:], best[:-1], out=improved[1:])
+    retires = improved & (kept <= trigger)
+    live = np.ones(sad.shape, bool)
+    for c in range(1, n):
+        np.greater(live[c - 1], retires[c - 1], out=live[c])  # live and not retired
+    order = np.arange(n, dtype=np.min_scalar_type(n - 1))[:, None, None]
+    winner = np.max((improved & live) * order, axis=0).astype(np.intp)
+    return best, live, winner
 
 
 def search_margin(spec: ConvSpec, params: MotionParams) -> int:
@@ -235,26 +329,34 @@ def search(
     planes no caller sees, and runs ``search_planes`` on them.
 
     Candidates are enumerated with (0, 0) first, then raster order; each
-    evaluated SAD charges 2 k^2 C_in. The candidate loop keeps each
-    position's best SAD, winning candidate and that candidate's kept count:
-    the kept entries of every candidate that becomes the best so far are
-    counted, and with early stopping on the position retires once that
-    count is at or below the early-stop trigger. The winner is the
-    minimum-SAD candidate among those evaluated (ties keep the earlier
-    candidate), and a position is matched when its kept count does not
-    exceed ``match_max_density`` of the block. The residual is built once,
-    after the loop, from blocks of both frames gathered at matched
-    positions with a nonzero kept count only. Candidate reads beyond the
-    reference frame see zeros.
+    evaluated SAD charges 2 k^2 C_in. The decisions are those of a
+    sequential candidate loop: a candidate whose SAD is strictly below a
+    position's best so far improves it, and with early stopping on the
+    position retires after the first improving candidate whose kept count
+    is at or below the early-stop trigger (candidate (0, 0), every
+    position's first, always improves). The winner is the minimum-SAD
+    candidate among those evaluated (ties keep the earlier candidate), and
+    a position is matched when its winner's kept count does not exceed
+    ``match_max_density`` of the block. The residual is built once, after
+    the decisions, from blocks of both frames gathered at matched positions
+    with a nonzero kept count only. Candidate reads beyond the reference
+    frame see zeros.
 
-    Each candidate is scored on whole planes, cropped to the bounding box
-    of the positions still active: one float32 difference of the current
-    plane and the shifted reference plane (each element equal to the
-    gathered difference it stands for), its absolute value summed over
-    channels in float64, then a k-tap horizontal and a k-tap vertical box
-    sum at the stride. Kept counts are the same box sums of the per-pixel
-    kept counts, so they are exact. Candidate (0, 0) is every position's
-    first, so each takes it as its best so far without a comparison.
+    No loop runs candidate by candidate through the decisions. Candidate
+    (0, 0) is scored over the whole grid, and every other candidate in one
+    batch over the bounding box of the positions (0, 0) leaves searching:
+    per candidate, one float32 difference of the current plane and the
+    shifted reference plane (each element equal to the gathered difference
+    it stands for), its absolute value summed over channels in float64 and
+    its kept entries counted per pixel; then one k-tap horizontal and one
+    k-tap vertical box sum at the stride over each (candidate, row, column)
+    stack. Kept counts are box sums of integers, so they are exact. The
+    decisions are replayed on the stacks (``_replay``): the running minimum
+    along the candidate axis is each position's best so far, the first
+    improving candidate whose kept count reaches the trigger ends the
+    prefix of candidates a position evaluates, and the winner is the last
+    improving candidate of that prefix. ``me`` is charged once, for every
+    evaluated (position, candidate) pair.
 
     The box sums add the block's n = k^2 C_in non-negative terms in another
     order than a per-block sum (``_block_sad``). Any order of
@@ -262,12 +364,15 @@ def search(
     relatively, and gives 0 exactly when every term is 0. Two sums whose
     per-block order and box order disagree therefore lie within about
     4 (n - 1) * 2^-53 of each other, under ``_NEAR_TIE`` for any block of
-    fewer than two million elements. So where a candidate's box SAD is
-    nonzero and within ``_NEAR_TIE`` of the best so far, relatively, both
-    are recomputed as per-block sums, on current and reference blocks
-    gathered from the two planes for those positions only, and those are
-    compared. Every comparison, and so every winner, early stop and ledger
-    charge, is the one the per-block sums give.
+    fewer than two million elements. So where an evaluated candidate's box
+    SAD is nonzero and within ``_NEAR_TIE`` of the best so far, relatively,
+    the SADs of every candidate of that position, (0, 0) included, are
+    recomputed as per-block sums, on current and reference blocks gathered
+    from the two planes for those positions only, and the position's
+    decisions are replayed on them. Elsewhere no comparison is that close,
+    so the box sums order it as the per-block sums do. Every comparison,
+    and so every winner, early stop and ledger charge, is the one the
+    per-block sums give.
     """
     cur = ensure_feature_map(cur_input, channels=spec.in_channels, name="current input")
     ref = ensure_feature_map(ref_input, channels=spec.in_channels, name="reference input")
@@ -286,9 +391,9 @@ def search_planes(
     ledger: FlopsLedger | None,
 ) -> MotionField:
     """``search`` on two validated frames of one shape, each zero-padded by
-    ``search_margin(spec, params)``: the candidate loop and the field
-    builder ``search`` describes, with no validation or padding of their
-    own. Output position (i, j) sits at grid position (i + r, j + r) of
+    ``search_margin(spec, params)``: the batch scoring, the replay and
+    the field builder ``search`` describes, with no validation or padding
+    of their own. Output position (i, j) sits at grid position (i + r, j + r) of
     either plane, r the search range. The planes are read, never written.
     """
     k, s = spec.kernel_size, spec.stride
@@ -298,64 +403,43 @@ def search_planes(
     m = r * s  # each plane's margin beyond the layer's padding
     out_h = (cur_pad.shape[1] - k) // s + 1 - 2 * r
     out_w = (cur_pad.shape[2] - k) // s + 1 - 2 * r
-    # per-pixel kept counts, at most C_in, summed in the narrowest type that holds them
-    per_pixel = np.min_scalar_type(spec.in_channels)
-    trigger = params.early_stop_density * bsz
-
-    best_cand = np.zeros((out_h, out_w), dtype=np.int32)
-    active = np.ones((out_h, out_w), dtype=bool)
-
+    # kept counts are integers, so they compare with the trigger's whole part;
+    # with early stopping off it is -1, which no kept count reaches
+    trigger = math.floor(params.early_stop_density * bsz) if params.early_stop_enabled else -1
     offsets = np.array(_candidate_offsets(r), dtype=np.int32)
-    for ci, (qy, qx) in enumerate(offsets):
-        live_i = np.flatnonzero(active.any(axis=1))
-        if live_i.size == 0:
-            break
-        live_j = np.flatnonzero(active.any(axis=0))
-        if ledger is not None:
-            ledger.charge("me", 2 * bsz * int(np.count_nonzero(active)))
+
+    sad0, kept0 = _score(cur_pad, ref_pad, k, s, tau, (m, m), out_h, out_w, offsets[:1])
+    best_cand = np.zeros((out_h, out_w), dtype=np.intp)
+    best_nnz = kept0[0]
+    evaluated = out_h * out_w  # every position evaluates candidate (0, 0)
+    searching = best_nnz > trigger
+    live_i = np.flatnonzero(searching.any(axis=1))
+    if live_i.size and len(offsets) > 1:
+        live_j = np.flatnonzero(searching.any(axis=0))
         i0, j0 = int(live_i[0]), int(live_j[0])
         nh, nw = int(live_i[-1]) + 1 - i0, int(live_j[-1]) + 1 - j0
-        y0, x0 = i0 * s + m, j0 * s + m
-        hh, ww = (nh - 1) * s + k, (nw - 1) * s + k
-        ry, rx = y0 + int(qy) * s, x0 + int(qx) * s
-        mag = np.subtract(cur_pad[:, y0 : y0 + hh, x0 : x0 + ww], ref_pad[:, ry : ry + hh, rx : rx + ww])
-        np.abs(mag, out=mag)
-        sad_vals = _box(mag.sum(axis=0, dtype=np.float64), k, s, nh, nw, np.float64)
-
-        def kept_counts():
-            return _box(_kept(mag, tau).sum(axis=0, dtype=per_pixel), k, s, nh, nw, np.int32)
-
-        if ci == 0:
-            # the whole grid is active and every position improves on no best
-            best_sad, best_nnz = sad_vals, kept_counts()
-            if params.early_stop_enabled:
-                active = best_nnz > trigger
-            continue
-
-        crop = (slice(i0, i0 + nh), slice(j0, j0 + nw))
-        act, best, cand, nnz = active[crop], best_sad[crop], best_cand[crop], best_nnz[crop]
-        improved = act & (sad_vals < best)
-        near = act & (np.abs(sad_vals - best) < _NEAR_TIE * sad_vals)
-        if near.any():
-            ni, nj = np.nonzero(near)
-            bq = offsets[cand[near]]
-            ni, nj = ni + i0, nj + j0
-            # reference blocks of this candidate, then of the best so far
-            at = (np.concatenate([ni + qy, ni + bq[:, 0]]) + r,
-                  np.concatenate([nj + qx, nj + bq[:, 1]]) + r)
-            ref_cols = unfold_blocks(ref_pad, k, s, at=at).reshape(bsz, 2, -1)
-            cur_cols = unfold_blocks(cur_pad, k, s, at=(ni + r, nj + r))
-            sad_q, sad_best = _block_sad(cur_cols[:, None] - ref_cols)
-            improved[near] = sad_q < sad_best
-        if improved.any():
-            np.copyto(best, sad_vals, where=improved)
-            np.copyto(cand, ci, where=improved)
-            kept = kept_counts()
-            np.copyto(nnz, kept, where=improved)
-            if params.early_stop_enabled:
-                np.copyto(act, False, where=improved & (kept <= trigger))
+        rows, cols = slice(i0, i0 + nh), slice(j0, j0 + nw)
+        corner = (i0 * s + m, j0 * s + m)
+        sad, kept = _score(cur_pad, ref_pad, k, s, tau, corner, nh, nw, offsets[1:] * s)
+        sad = np.concatenate([sad0[:, rows, cols], sad])
+        kept = np.concatenate([kept0[:, rows, cols], kept])
+        best, live, winner = _replay(sad, kept, trigger)
+        near = live[1:] & (np.abs(sad[1:] - best[:-1]) < _NEAR_TIE * sad[1:])
+        ti, tj = np.nonzero(near.any(axis=0))
+        if ti.size:
+            # every candidate of these positions, (0, 0) included, as per-block sums
+            gi, gj = ti + i0 + r, tj + j0 + r
+            cur_cols = unfold_blocks(cur_pad, k, s, at=(gi, gj))
+            at = ((gi + offsets[:, :1]).ravel(), (gj + offsets[:, 1:]).ravel())
+            ref_cols = unfold_blocks(ref_pad, k, s, at=at).reshape(bsz, len(offsets), -1)
+            sad[:, ti, tj] = _block_sad(cur_cols[:, None] - ref_cols)
+            _, live, winner = _replay(sad, kept, trigger)
+        best_cand[rows, cols] = winner
+        best_nnz[rows, cols] = np.take_along_axis(kept, winner[None], axis=0)[0]
+        evaluated += int(np.count_nonzero(live[1:]))
+    if ledger is not None:
+        ledger.charge("me", 2 * bsz * evaluated)
 
     steps = offsets[best_cand]
     matched = best_nnz <= params.match_max_density * bsz
     return _build_field(spec, cur_pad, ref_pad, r, steps[..., 0], steps[..., 1], tau, best_nnz, matched)
-

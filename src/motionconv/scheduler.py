@@ -76,6 +76,11 @@ class Network:
         path = Path(path)
         desc = json.loads(path.read_text())
         require_keys(desc, ("layers",), f"network description {path}")
+        if not isinstance(desc["layers"], list):
+            raise ValueError(
+                f"'layers' of network description {path} must be a JSON list, "
+                f"got {type(desc['layers']).__name__}"
+            )
         layers = []
         for i, entry in enumerate(desc["layers"]):
             source = f"layer {i} of network description {path}"
@@ -83,6 +88,7 @@ class Network:
             weights = Path(entry["weights"])
             if not weights.is_absolute():
                 weights = path.parent / weights
+            require_keys(entry.get("params", {}), (), f"'params' of {source}")
             params = dict(entry.get("params", {}))
             for extra in ("post_scale", "post_shift", "compensate"):
                 if extra in entry:

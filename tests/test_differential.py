@@ -9,10 +9,12 @@ candidate order) are common, and differences equal to a threshold on
 that grid hit its boundary.
 
 ``search`` scores candidates with box sums, which add in another order
-than the per-block sum. Two more cases check what the 1/256 grid cannot
-show: mirror-symmetric frames of powers of two, where near-ties round
-differently in the two orders, and early-stopped scenes where only a small
-box of positions stays active.
+than the per-block sum, in one batch, and replays the candidate loop's
+decisions on the stacked scores. More cases check what random frames
+rarely show: mirror-symmetric frames of powers of two, where near-ties
+round differently in the two orders; early-stopped scenes where only a
+small box of positions at a corner stays active; and frames of uniform
+patches, where nonzero SADs of different candidates tie exactly.
 """
 
 import numpy as np
@@ -67,24 +69,8 @@ def block_row(blk, spec):
 @given(stacks())
 def test_search_matches_per_position_loop(case):
     spec, params, cur, ref, _ = case
-    led, loop_led = FlopsLedger(), FlopsLedger()
-    field = search(cur, ref, spec, params, led)
-    mv_dy, mv_dx, matched, blocks = loop_search(cur, ref, spec, params, loop_led)
-
-    np.testing.assert_array_equal(field.mv_dy, mv_dy)
-    np.testing.assert_array_equal(field.mv_dx, mv_dx)
-    np.testing.assert_array_equal(field.matched, matched)
-    assert led.me_flops == loop_led.me_flops
+    field, _, _ = search_as_loop(cur, ref, spec, params)
     assert field.residual.dtype == np.float32
-    np.testing.assert_array_equal(field.residual_at, np.flatnonzero(matched & (field.nnz > 0)))
-    assert field.residual.shape == (spec.block_size, field.residual_at.size)
-    residual = dense_residual(field)
-    for i in range(field.out_h):
-        for j in range(field.out_w):
-            blk = blocks[i][j]
-            assert field.nnz[i, j] == blk.nnz
-            want = block_row(blk, spec) if matched[i, j] else np.zeros(spec.block_size, np.float32)
-            np.testing.assert_array_equal(residual[i * field.out_w + j], want)
 
 
 def mirror_stack(seed):
@@ -117,15 +103,23 @@ def mirror_stack(seed):
 
 
 def search_as_loop(cur, ref, spec, params):
-    """Run ``search`` and ``loop_search``, check that vectors, match flags
-    and me FLOPs agree, and return the field, its me FLOPs and the oracle's
-    blocks."""
+    """Run ``search`` and ``loop_search``, check that vectors, match flags,
+    kept counts, residual columns and their positions, and me FLOPs agree,
+    and return the field, its me FLOPs and the oracle's blocks."""
     led, loop_led = FlopsLedger(), FlopsLedger()
     field = search(cur, ref, spec, params, led)
     mv_dy, mv_dx, matched, blocks = loop_search(cur, ref, spec, params, loop_led)
     np.testing.assert_array_equal(field.mv_dy, mv_dy)
     np.testing.assert_array_equal(field.mv_dx, mv_dx)
     np.testing.assert_array_equal(field.matched, matched)
+    nnz = np.array([[blk.nnz for blk in row] for row in blocks]).reshape(matched.shape)
+    np.testing.assert_array_equal(field.nnz, nnz)
+    at = np.flatnonzero(matched & (nnz > 0))
+    np.testing.assert_array_equal(field.residual_at, at)
+    want = np.zeros((spec.block_size, at.size), np.float32)
+    for n, (i, j) in enumerate(zip(*np.divmod(at, field.out_w))):
+        want[:, n] = block_row(blocks[i][j], spec)
+    np.testing.assert_array_equal(field.residual, want)
     assert led.me_flops == loop_led.me_flops
     return field, led.me_flops, blocks
 
@@ -138,6 +132,55 @@ def search_as_loop(cur, ref, spec, params):
 @example(100)
 def test_search_breaks_near_ties_as_block_sums(seed):
     search_as_loop(*mirror_stack(seed))
+
+
+@st.composite
+def search_scenes(draw, scene):
+    """A 3x3 layer with a random search range, stride, padding, threshold
+    and early stop, and frames on a grid coarse enough that every SAD is
+    exact. ``scene`` is ``"top_left"`` or ``"bottom_right"``: a static
+    frame with one block moved one grid step near that corner, so that
+    with early stopping on only a small box of positions keeps searching
+    after candidate (0, 0); or ``"patches"``: frames of 2x2 or 3x3 patches
+    on four levels, the current one shifted and partly relevelled, where
+    different candidates see the same patch edges and their nonzero SADs
+    tie exactly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c, stride = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2]))
+    h, w = draw(st.integers(7, 12)), draw(st.integers(7, 12))
+    spec = ConvSpec(weights=np.ones((1, c, 3, 3), np.float32), stride=stride,
+                    padding=draw(st.integers(0, 1)))
+    params = MotionParams(
+        search_range=draw(st.integers(0, 2)),
+        threshold=draw(st.sampled_from([0.0, 4 / 256])),
+        early_stop_density=draw(st.sampled_from([-1.0, 0.3])),
+        match_max_density=0.9,
+    )
+    if scene == "patches":
+        side = draw(st.sampled_from([2, 3]))
+        levels = rng.integers(0, 4, size=(c, h // side + 2, w // side + 2)) / 4
+        ref = levels.repeat(side, axis=1).repeat(side, axis=2)
+        cur = np.roll(ref, (rng.integers(-2, 3), rng.integers(-2, 3)), axis=(1, 2))
+        relevel = rng.integers(-1, 2, levels.shape) * (rng.random(levels.shape) < 0.2) / 4
+        cur = cur + relevel.repeat(side, axis=1).repeat(side, axis=2)
+        ref, cur = ref[:, :h, :w], cur[:, :h, :w]
+    else:
+        ref = rng.integers(0, 257, size=(c, h, w)) / 256
+        cur = ref.copy()
+        y, x = (1, 1) if scene == "top_left" else (h - 4 - stride, w - 4 - stride)
+        moved = ref[:, y : y + 3, x : x + 3] + 0.5
+        cur[:, y + stride : y + stride + 3, x + stride : x + stride + 3] = moved
+    return cur.astype(np.float32), ref.astype(np.float32), spec, params
+
+
+@pytest.mark.parametrize("scene", ["top_left", "bottom_right", "patches"])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_batched_search_replays_the_loop(scene, data):
+    # the batched scores and their replay against the candidate loop over
+    # every range, stride, early-stop setting and active box these scenes
+    # give; near-ties, exact ones included, are re-scored as block sums
+    search_as_loop(*data.draw(search_scenes(scene)))
 
 
 def test_search_keeps_candidate_zero_when_its_sad_overflows():

@@ -88,6 +88,27 @@ class TestNetwork:
         with pytest.raises(ValueError, match=f"layer 0 of .*{net_path}.*'{key}'"):
             Network.from_json(net_path)
 
+    @pytest.mark.parametrize("desc, where, kind", [
+        ({"layers": {"a": 1}}, "'layers' of network description", "dict"),
+        ({"layers": "l0.bin"}, "'layers' of network description", "str"),
+        ({"layers": [{"weights": "l0.bin", "params": None}]}, "'params' of layer 0 of", "NoneType"),
+        ({"layers": [{"weights": "l0.bin", "params": 3}]}, "'params' of layer 0 of", "int"),
+        ({"layers": [{"weights": "l0.bin", "params": "ab"}]}, "'params' of layer 0 of", "str"),
+        ({"layers": [{"weights": "l0.bin"}, {"weights": "l0.bin", "params": [["threshold", 0.1]]}]},
+         "'params' of layer 1 of", "list"),
+    ], ids=["layers-object", "layers-string", "params-null", "params-number", "params-string",
+            "params-list"])
+    def test_from_json_rejects_mistyped_layers_and_params(self, tmp_path, desc, where, kind):
+        # a dict of layers once iterated its keys, a None or numeric params
+        # block raised a bare TypeError and a string one dict's own ValueError
+        import json
+
+        save_weights(random_conv_spec(np.random.default_rng(3), 3, 3, 3, 1), tmp_path / "l0.bin")
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(desc))
+        with pytest.raises(ValueError, match=f"{where} .*{net_path}.*got {kind}"):
+            Network.from_json(net_path)
+
 
 class TestRunSequence:
     def test_static_pair_second_frame_costs_only_search(self):
