@@ -10,15 +10,16 @@ plane, copy matched outputs from the cached output map, add the
 convolution of the sparse residual, and fall back to dense per-position
 convolution where no usable match exists; the fallback gathers the
 receptive fields of those positions only, from the same padded plane.
-The output is written as ``(C_out, H*W)``. The residual GEMM turns the
-field's tap-major columns into the compensated outputs (prediction plus
-convolved residual) of the positions they list; one column gather then
-writes every position, from those columns or from the cached output, and
-the fallback overwrites every position the prediction does not serve,
-demoted ones included. The activation, when configured, is applied after
-reconstruction so the next layer always sees true post-activation
-features; the cache keeps pre-activation values because only those
-decompose linearly.
+The output starts as a copy of the cached output, which is already every
+position's output outside the search's box of changed positions. Inside
+the box, the residual GEMM turns the field's tap-major columns into the
+compensated outputs (prediction plus convolved residual) of the positions
+they list; one column gather then writes every box position, from those
+columns or from the cached output, and the fallback overwrites every box
+position the prediction does not serve, demoted ones included. The
+activation, when configured, is applied after reconstruction so the next
+layer always sees true post-activation features; the cache keeps
+pre-activation values because only those decompose linearly.
 """
 
 from __future__ import annotations
@@ -224,7 +225,9 @@ class MotionCompLayer:
         copies. No bias is re-added there because the prediction already
         carries it. Unmatched positions, and matched positions whose
         prediction would fall outside the output grid, are computed densely
-        with bias and charged as unmatched work.
+        with bias and charged as unmatched work. Positions outside the
+        field's box are matched copies at vector (0, 0): the output starts
+        as a copy of the cached output, and only the box is worked on.
 
         ``x`` is validated and zero-padded once, by the search margin. The
         search reads that plane against the cached one without validating
@@ -254,27 +257,33 @@ class MotionCompLayer:
         s = spec.stride
         c_out = spec.out_channels
 
-        src_i = np.arange(out_h)[:, None] + field.mv_dy // s
-        src_j = np.arange(out_w)[None, :] + field.mv_dx // s
+        i0, j0 = field.origin
+        box_h, box_w = field.matched.shape
+        i1, j1 = i0 + box_h, j0 + box_w
+        src_i = np.arange(i0, i1)[:, None] + field.mv_dy // s
+        src_j = np.arange(j0, j1)[None, :] + field.mv_dx // s
         in_grid = (src_i >= 0) & (src_i < out_h) & (src_j >= 0) & (src_j < out_w)
         served = field.matched & in_grid
         demoted = int(np.count_nonzero(field.matched & ~in_grid))
+        matched = int(np.count_nonzero(served)) + out_h * out_w - served.size
 
-        out = np.empty((c_out, out_h, out_w), dtype=np.float32)
-        flat = out.reshape(c_out, -1)
+        # positions outside the field's box keep the cached output; one whole
+        # copy beats copying only the outside, slab by slab
+        prev = self.cache.prev_output
+        out = prev.copy()
+        box = out[:, i0:i1, j0:j1]
+        ledger.add_pred_bytes(4 * c_out * matched)
 
-        rows = np.flatnonzero(served)
         nnz_total = 0
-        if rows.size:
-            # One take writes every position from the cached output, or from
-            # the compensated columns appended to it for positions listed in
-            # residual_at. Sources of unserved positions are clipped and the
+        if served.any():
+            # One take writes every box position from the cached output, or
+            # from the compensated columns appended to it for positions listed
+            # in residual_at. Sources of unserved positions are clipped and the
             # fallback overwrites them, demoted listed positions included.
             src = (src_i * out_w + src_j).ravel()
-            source = self.cache.prev_output.reshape(c_out, -1)
-            ledger.add_pred_bytes(4 * c_out * rows.size)
+            source = prev.reshape(c_out, -1)
             if self.compensate:
-                nnz_total = int(field.nnz.ravel()[rows].sum())
+                nnz_total = int(field.nnz[served].sum())
                 nz = field.residual_at
                 comp = spec.weights.reshape(c_out, -1) @ field.residual
                 if self.post_scale is not None:
@@ -283,19 +292,18 @@ class MotionCompLayer:
                 source = np.concatenate([source, comp], axis=1)
                 src[nz] = out_h * out_w + np.arange(nz.size)
                 ledger.charge("res", 2 * nnz_total * c_out)
-            np.take(source, src, axis=1, out=flat, mode="clip")
+            np.take(source, src.reshape(box_h, box_w), axis=1, out=box, mode="clip")
 
-        fallback = np.flatnonzero(~served)
-        if fallback.size:
+        fi, fj = np.nonzero(~served)
+        if fi.size:
             r = self.params.search_range
-            fi, fj = np.divmod(fallback, out_w)
-            cols = unfold_blocks(plane, spec.kernel_size, s, at=(fi + r, fj + r))
-            flat[:, fallback] = self._affine(dense_rows(cols.T, spec, ledger, "unmatched"))
+            cols = unfold_blocks(plane, spec.kernel_size, s, at=(fi + i0 + r, fj + j0 + r))
+            box[:, fi, fj] = self._affine(dense_rows(cols.T, spec, ledger, "unmatched"))
 
         self.cache = LayerCache(plane=plane, margin=margin, prev_output=out)
         self.last_stats = NonKeyStats(
             positions=out_h * out_w,
-            matched=int(rows.size),
+            matched=matched,
             demoted=demoted,
             nnz_total=nnz_total,
             block_size=spec.block_size,

@@ -5,9 +5,14 @@ field. Candidates are stride-aligned offsets within the search range,
 and the search scores them by SAD against the reference frame for all
 positions at once: the difference of the padded frames, its magnitude
 summed over channels and then over each block with a separable box filter
-(the window-cost aggregation of stereo block matching). Candidate (0, 0)
-is scored over the whole grid and retires the positions whose residual is
-already sparse enough; the other candidates are scored in one batch over
+(the window-cost aggregation of stereo block matching). The search first
+bounds the positions whose receptive field reads a pixel that differs
+between the frames, and scores only that box: every other position has
+SAD 0 and nothing kept at candidate (0, 0), which no later candidate
+beats, so it keeps vector (0, 0) with an empty residual, unscored but
+charged as the loop charges it. In the box, candidate (0, 0) is scored
+over every position and retires those whose residual is already sparse
+enough; the other candidates are scored in one batch over
 the bounding box of the positions still searching, into stacked
 (candidate, row, column) SADs and kept counts. The decisions of a
 sequential candidate loop (strict improvement, early stop, winner) are
@@ -32,6 +37,7 @@ back to the dense fallback path.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -86,15 +92,20 @@ class MotionField:
     """Per-position search outcome for one frame at one layer, handed from
     ``search_planes`` to ``MotionCompLayer.forward_nonkey``.
 
-    ``mv_dy``/``mv_dx``/``nnz`` hold the winning candidate for every
-    position, including unmatched ones. ``residual_at`` lists, as sorted
-    raster indices, the matched positions with ``nnz > 0``: the only
-    positions with a nonzero residual. ``residual`` is ``(block_size,
+    The arrays cover a box of the ``out_h x out_w`` output grid whose first
+    position is ``origin`` (row, column); every position outside it has
+    vector (0, 0) and kept count 0 and is matched, a pure copy of the
+    reference output. A full-grid field has origin (0, 0) and grid-shaped
+    arrays. ``mv_dy``/``mv_dx``/``nnz`` hold the winning candidate for every
+    box position, including unmatched ones. ``residual_at`` lists, as sorted
+    raster indices of the box, the matched positions with ``nnz > 0``: the
+    only positions with a nonzero residual. ``residual`` is ``(block_size,
     len(residual_at))`` float32 in the tap-major ``unfold_blocks(...,
     at=)`` layout: column n is the thresholded difference of position
     ``residual_at[n]``, zero for entries below the threshold. Every other
-    position's residual is zero and is not stored. ``alpha`` is the
-    matched fraction.
+    position's residual is zero and is not stored. ``positions`` counts the
+    whole grid and ``alpha`` is its matched fraction, positions outside the
+    box included.
     """
 
     out_h: int
@@ -106,6 +117,7 @@ class MotionField:
     nnz: np.ndarray
     residual: np.ndarray
     residual_at: np.ndarray
+    origin: tuple[int, int] = (0, 0)
 
     @property
     def positions(self) -> int:
@@ -113,17 +125,19 @@ class MotionField:
 
     @property
     def alpha(self) -> float:
-        return float(np.count_nonzero(self.matched)) / self.positions
+        outside = self.positions - self.matched.size
+        return float(np.count_nonzero(self.matched) + outside) / self.positions
 
 
-def _candidate_offsets(search_range: int) -> list[tuple[int, int]]:
-    # (0, 0) first so zero motion wins SAD ties; the rest in raster order.
-    offsets = [(0, 0)]
-    for dy in range(-search_range, search_range + 1):
-        for dx in range(-search_range, search_range + 1):
-            if (dy, dx) != (0, 0):
-                offsets.append((dy, dx))
-    return offsets
+@functools.cache
+def _candidate_offsets(search_range: int) -> np.ndarray:
+    """``(candidates, 2)`` int32 (dy, dx) offsets in grid steps, built once
+    per search range and read-only: (0, 0) first so zero motion wins SAD
+    ties, the rest in raster order."""
+    steps = range(-search_range, search_range + 1)
+    table = np.array([(0, 0)] + [(dy, dx) for dy in steps for dx in steps if dy or dx], np.int32)
+    table.flags.writeable = False
+    return table
 
 
 def _kept(mag: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -177,19 +191,27 @@ def _build_field(
     tau: float,
     nnz: np.ndarray,
     matched: np.ndarray,
+    out_h: int,
+    out_w: int,
+    origin: tuple[int, int],
 ) -> MotionField:
     """The MotionField of per-position vectors given in grid steps, with
     their kept counts ``nnz`` and match flags ``matched``, on planes padded
     by ``e`` grid steps beyond the layer's padding as ``_differences``
-    takes them.
+    takes them. The field's arrays and raster indices are those of the
+    ``steps_y`` grid, here the box whose first position is ``origin`` of an
+    ``out_h x out_w`` output grid.
 
     Both planes are gathered only at matched positions with ``nnz > 0``;
     their differences, times the keep mask, are the residual's columns
-    (masked entries of negative differences read -0.0, which equals 0).
+    (masked entries of negative differences read -0.0, which equals 0). At
+    tau 0 the keep mask is "difference != 0", so the multiply would return
+    every entry as it is, -0.0 included, and is skipped.
     """
-    out_h, out_w = steps_y.shape
     need = np.flatnonzero(matched & (nnz > 0))
     diff = _differences(spec, cur_pad, ref_pad, e, steps_y, steps_x, need)
+    if tau > 0:
+        np.multiply(diff, _kept(np.abs(diff), tau), out=diff)
     return MotionField(
         out_h=out_h,
         out_w=out_w,
@@ -198,8 +220,9 @@ def _build_field(
         mv_dy=steps_y * spec.stride,
         mv_dx=steps_x * spec.stride,
         nnz=nnz,
-        residual=np.multiply(diff, _kept(np.abs(diff), tau), out=diff),
+        residual=diff,
         residual_at=need,
+        origin=origin,
     )
 
 
@@ -310,6 +333,31 @@ def _replay(sad: np.ndarray, kept: np.ndarray, trigger: int):
     return best, live, winner
 
 
+def _changed_box(
+    cur_pad: np.ndarray, ref_pad: np.ndarray, k: int, s: int, m: int, out_h: int, out_w: int
+) -> tuple[int, int, int, int]:
+    """Rows ``i0:i1`` and columns ``j0:j1`` of the ``out_h x out_w`` grid
+    bounding the positions whose candidate-(0, 0) window, at plane pixel
+    (i s + m, j s + m), reads a pixel that differs bitwise between the two
+    planes; ``(0, 0, 0, 0)`` when none does.
+
+    The whole planes are compared, contiguous and several times faster
+    than the region the windows read alone, and that region is cut from the
+    channel-reduced mask. A changed row y of it (from the region's first
+    row) is read by the window rows i with i s <= y <= i s + k - 1, and
+    likewise for columns."""
+    hh, ww = (out_h - 1) * s + k, (out_w - 1) * s + k
+    changed = np.not_equal(cur_pad.view(np.uint32), ref_pad.view(np.uint32)).any(axis=0)
+    changed = changed[m : m + hh, m : m + ww]
+    ys = np.flatnonzero(changed.any(axis=1))
+    if not ys.size:
+        return 0, 0, 0, 0
+    xs = np.flatnonzero(changed.any(axis=0))
+    # the first window reading pixel y is ceil((y - k + 1) / s), the last floor(y / s)
+    return (max(0, -((k - 1 - int(ys[0])) // s)), min(out_h, int(ys[-1]) // s + 1),
+            max(0, -((k - 1 - int(xs[0])) // s)), min(out_w, int(xs[-1]) // s + 1))
+
+
 def search_margin(spec: ConvSpec, params: MotionParams) -> int:
     """Zero padding of the planes ``search_planes`` reads: the layer's
     padding plus the search range in input pixels."""
@@ -342,8 +390,19 @@ def search(
     with a nonzero kept count only. Candidate reads beyond the reference
     frame see zeros.
 
+    Only the box of positions whose candidate-(0, 0) block holds a pixel
+    that differs bitwise between the frames is scored (``_changed_box``).
+    Every other position's block is the same in both, so candidate (0, 0)
+    has SAD 0 and kept count 0 there: no later candidate improves on it (a
+    SAD is never below 0 and the test is strict), the position is matched
+    with vector (0, 0) and no residual, and its output is a copy of the
+    reference output. ``me`` still charges such a position what the loop
+    charges it: one candidate with early stopping on, since a kept count of
+    0 reaches any trigger, and every candidate with it off. The box's
+    blocks are read from contiguous crops of both planes.
+
     No loop runs candidate by candidate through the decisions. Candidate
-    (0, 0) is scored over the whole grid, and every other candidate in one
+    (0, 0) is scored over the whole box, and every other candidate in one
     batch over the bounding box of the positions (0, 0) leaves searching:
     per candidate, one float32 difference of the current plane and the
     shifted reference plane (each element equal to the gathered difference
@@ -356,7 +415,7 @@ def search(
     improving candidate whose kept count reaches the trigger ends the
     prefix of candidates a position evaluates, and the winner is the last
     improving candidate of that prefix. ``me`` is charged once, for every
-    evaluated (position, candidate) pair.
+    evaluated (position, candidate) pair of the whole grid.
 
     The box sums add the block's n = k^2 C_in non-negative terms in another
     order than a per-block sum (``_block_sad``). Any order of
@@ -391,10 +450,12 @@ def search_planes(
     ledger: FlopsLedger | None,
 ) -> MotionField:
     """``search`` on two validated frames of one shape, each zero-padded by
-    ``search_margin(spec, params)``: the batch scoring, the replay and
-    the field builder ``search`` describes, with no validation or padding
-    of their own. Output position (i, j) sits at grid position (i + r, j + r) of
-    either plane, r the search range. The planes are read, never written.
+    ``search_margin(spec, params)``: the changed box, the batch scoring,
+    the replay and the field builder ``search`` describes, with no
+    validation or padding of their own. Output position (i, j) sits at grid
+    position (i + r, j + r) of either plane, r the search range. The planes
+    are read, never written. The field's arrays cover the changed box, at
+    ``MotionField.origin``.
     """
     k, s = spec.kernel_size, spec.stride
     bsz = spec.block_size
@@ -406,40 +467,56 @@ def search_planes(
     # kept counts are integers, so they compare with the trigger's whole part;
     # with early stopping off it is -1, which no kept count reaches
     trigger = math.floor(params.early_stop_density * bsz) if params.early_stop_enabled else -1
-    offsets = np.array(_candidate_offsets(r), dtype=np.int32)
+    offsets = _candidate_offsets(r)
 
-    sad0, kept0 = _score(cur_pad, ref_pad, k, s, tau, (m, m), out_h, out_w, offsets[:1])
-    best_cand = np.zeros((out_h, out_w), dtype=np.intp)
-    best_nnz = kept0[0]
-    evaluated = out_h * out_w  # every position evaluates candidate (0, 0)
-    searching = best_nnz > trigger
-    live_i = np.flatnonzero(searching.any(axis=1))
-    if live_i.size and len(offsets) > 1:
-        live_j = np.flatnonzero(searching.any(axis=0))
-        i0, j0 = int(live_i[0]), int(live_j[0])
-        nh, nw = int(live_i[-1]) + 1 - i0, int(live_j[-1]) + 1 - j0
-        rows, cols = slice(i0, i0 + nh), slice(j0, j0 + nw)
-        corner = (i0 * s + m, j0 * s + m)
-        sad, kept = _score(cur_pad, ref_pad, k, s, tau, corner, nh, nw, offsets[1:] * s)
-        sad = np.concatenate([sad0[:, rows, cols], sad])
-        kept = np.concatenate([kept0[:, rows, cols], kept])
-        best, live, winner = _replay(sad, kept, trigger)
-        near = live[1:] & (np.abs(sad[1:] - best[:-1]) < _NEAR_TIE * sad[1:])
-        ti, tj = np.nonzero(near.any(axis=0))
-        if ti.size:
-            # every candidate of these positions, (0, 0) included, as per-block sums
-            gi, gj = ti + i0 + r, tj + j0 + r
-            cur_cols = unfold_blocks(cur_pad, k, s, at=(gi, gj))
-            at = ((gi + offsets[:, :1]).ravel(), (gj + offsets[:, 1:]).ravel())
-            ref_cols = unfold_blocks(ref_pad, k, s, at=at).reshape(bsz, len(offsets), -1)
-            sad[:, ti, tj] = _block_sad(cur_cols[:, None] - ref_cols)
-            _, live, winner = _replay(sad, kept, trigger)
-        best_cand[rows, cols] = winner
-        best_nnz[rows, cols] = np.take_along_axis(kept, winner[None], axis=0)[0]
-        evaluated += int(np.count_nonzero(live[1:]))
+    i0, i1, j0, j1 = _changed_box(cur_pad, ref_pad, k, s, m, out_h, out_w)
+    box_h, box_w = i1 - i0, j1 - j0
+    # outside the box candidate (0, 0) scores 0 with nothing kept and no later
+    # candidate beats it: the loop evaluates it alone there with early stopping
+    # on (a kept count of 0 reaches any trigger), and every candidate with it off
+    evaluated = (out_h * out_w - box_h * box_w) * (1 if trigger >= 0 else len(offsets))
+    best_cand = np.zeros((box_h, box_w), dtype=np.intp)
+    best_nnz = np.zeros((box_h, box_w), dtype=np.int32)
+    if best_nnz.size:
+        # crops holding the box's windows over every candidate, and the s - 1
+        # pixels after its last one, which no window reads: a box that ends at
+        # the grid's end keeps the plane's end, so a whole-grid box crops to
+        # the whole plane, with no copy
+        crop = (slice(None), slice(i0 * s, (i1 + 2 * r) * s + k - 1),
+                slice(j0 * s, (j1 + 2 * r) * s + k - 1))
+        cur_pad, ref_pad = np.ascontiguousarray(cur_pad[crop]), np.ascontiguousarray(ref_pad[crop])
+        sad0, kept0 = _score(cur_pad, ref_pad, k, s, tau, (m, m), box_h, box_w, offsets[:1])
+        best_nnz = kept0[0]
+        evaluated += box_h * box_w  # every box position evaluates candidate (0, 0)
+        searching = best_nnz > trigger
+        live_i = np.flatnonzero(searching.any(axis=1))
+        if live_i.size and len(offsets) > 1:
+            live_j = np.flatnonzero(searching.any(axis=0))
+            a0, b0 = int(live_i[0]), int(live_j[0])
+            nh, nw = int(live_i[-1]) + 1 - a0, int(live_j[-1]) + 1 - b0
+            rows, cols = slice(a0, a0 + nh), slice(b0, b0 + nw)
+            corner = (a0 * s + m, b0 * s + m)
+            sad, kept = _score(cur_pad, ref_pad, k, s, tau, corner, nh, nw, offsets[1:] * s)
+            sad = np.concatenate([sad0[:, rows, cols], sad])
+            kept = np.concatenate([kept0[:, rows, cols], kept])
+            best, live, winner = _replay(sad, kept, trigger)
+            near = live[1:] & (np.abs(sad[1:] - best[:-1]) < _NEAR_TIE * sad[1:])
+            ti, tj = np.nonzero(near.any(axis=0))
+            if ti.size:
+                # every candidate of these positions, (0, 0) included, as per-block sums
+                gi, gj = ti + a0 + r, tj + b0 + r
+                cur_cols = unfold_blocks(cur_pad, k, s, at=(gi, gj))
+                at = ((gi + offsets[:, :1]).ravel(), (gj + offsets[:, 1:]).ravel())
+                ref_cols = unfold_blocks(ref_pad, k, s, at=at).reshape(bsz, len(offsets), -1)
+                sad[:, ti, tj] = _block_sad(cur_cols[:, None] - ref_cols)
+                _, live, winner = _replay(sad, kept, trigger)
+            best_cand[rows, cols] = winner
+            best_nnz[rows, cols] = np.take_along_axis(kept, winner[None], axis=0)[0]
+            evaluated += int(np.count_nonzero(live[1:]))
     if ledger is not None:
         ledger.charge("me", 2 * bsz * evaluated)
 
     steps = offsets[best_cand]
     matched = best_nnz <= params.match_max_density * bsz
-    return _build_field(spec, cur_pad, ref_pad, r, steps[..., 0], steps[..., 1], tau, best_nnz, matched)
+    return _build_field(spec, cur_pad, ref_pad, r, steps[..., 0], steps[..., 1], tau, best_nnz,
+                        matched, out_h, out_w, (i0, j0))

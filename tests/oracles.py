@@ -7,9 +7,10 @@ below them (``SparseBlock``, ``threshold_residual``, ``sad``,
 receptive field at a time, as the pipeline once did; ``loop_forward_nonkey``
 composes them into a position-by-position non-key layer forward, and
 ``oracle_field`` into the ``MotionField`` of chosen vectors, which tests
-hand to a layer in place of its own search. ``dense_residual`` expands a
-field's compact residual columns into one row per position, the form the
-per-position references compare with.
+hand to a layer in place of its own search. ``full_grid`` spreads a
+search's box-shaped field over the whole output grid, and
+``dense_residual`` expands a field's compact residual columns into one row
+per position, the form the per-position references compare with.
 
 The rest are references only tests use: ``unpack``, the inverse of
 ``bayer.pack``, and ``expected_motion``, the ground-truth vectors a search
@@ -326,10 +327,33 @@ def oracle_field(cur, ref, spec, mv_dy, mv_dx, matched, tau) -> MotionField:
     )
 
 
+def full_grid(field) -> MotionField:
+    """The full-grid ``MotionField`` of a field whose arrays cover the box
+    at ``field.origin``: positions outside the box get vector (0, 0), kept
+    count 0 and a match, as the search settles them, and the residual
+    columns keep their order at whole-grid raster indices."""
+    i0, j0 = field.origin
+    box_h, box_w = field.matched.shape
+    box = (slice(i0, i0 + box_h), slice(j0, j0 + box_w))
+
+    def spread(a, fill):
+        grid = np.full((field.out_h, field.out_w), fill, dtype=a.dtype)
+        grid[box] = a
+        return grid
+
+    bi, bj = np.divmod(field.residual_at, box_w)
+    return MotionField(
+        out_h=field.out_h, out_w=field.out_w, block_size=field.block_size,
+        matched=spread(field.matched, True), mv_dy=spread(field.mv_dy, 0),
+        mv_dx=spread(field.mv_dx, 0), nnz=spread(field.nnz, 0), residual=field.residual,
+        residual_at=(bi + i0) * field.out_w + bj + j0,
+    )
+
+
 def dense_residual(field) -> np.ndarray:
-    """``(positions, block_size)`` residual rows of a ``MotionField``: each
-    of its columns at the raster index ``residual_at`` lists for it, zero
-    rows everywhere else."""
+    """``(positions, block_size)`` residual rows of a full-grid
+    ``MotionField``: each of its columns at the raster index
+    ``residual_at`` lists for it, zero rows everywhere else."""
     rows = np.zeros((field.positions, field.block_size), dtype=np.float32)
     rows[field.residual_at] = field.residual.T
     return rows

@@ -30,7 +30,7 @@ from motionconv.scheduler import GopConfig, Network, run_sequence
 from motionconv.synth import SceneSpec, generate, random_conv_spec
 from motionconv.tensors import conv2d
 
-from oracles import expected_motion, unpack
+from oracles import expected_motion, full_grid, unpack
 
 
 def announce(criterion: int, message: str) -> None:
@@ -181,7 +181,7 @@ def test_criterion_3_mv_recovery():
                 spec = random_conv_spec(rng, 3, 4, 3, stride, 1)
                 params = MotionParams(search_range=r, threshold=0.0)
                 for t in (1, 2, 3):
-                    field = search(frames[t], frames[t - 1], spec, params, FlopsLedger())
+                    field = full_grid(search(frames[t], frames[t - 1], spec, params, FlopsLedger()))
                     truth = expected_motion(scene, t)
                     mask = truth.interior_mask(spec)
                     assert mask.any()

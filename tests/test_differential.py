@@ -15,11 +15,18 @@ rarely show: mirror-symmetric frames of powers of two, where near-ties
 round differently in the two orders; early-stopped scenes where only a
 small box of positions at a corner stays active; and frames of uniform
 patches, where nonzero SADs of different candidates tie exactly.
+
+``search`` scores only the box of positions whose receptive field reads a
+changed pixel. Scenes with a static region and a moving patch, one
+changed pixel on a receptive field's edge, changes in one border strip,
+no change and change everywhere compare it with the loop and with a
+whole-grid search (the box patched to the whole grid), field by field and,
+through a layer, output by output.
 """
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from motionconv import layer as layer_mod
@@ -32,7 +39,8 @@ from motionconv.synth import SceneSpec, generate, random_conv_spec
 from motionconv.tensors import ConvSpec
 
 from oracles import (
-    dense_residual, extract_block, loop_forward_nonkey, loop_search, oracle_field, read_block_at,
+    dense_residual, extract_block, full_grid, loop_forward_nonkey, loop_search, oracle_field,
+    read_block_at,
 )
 
 
@@ -107,7 +115,7 @@ def search_as_loop(cur, ref, spec, params):
     kept counts, residual columns and their positions, and me FLOPs agree,
     and return the field, its me FLOPs and the oracle's blocks."""
     led, loop_led = FlopsLedger(), FlopsLedger()
-    field = search(cur, ref, spec, params, led)
+    field = full_grid(search(cur, ref, spec, params, led))
     mv_dy, mv_dx, matched, blocks = loop_search(cur, ref, spec, params, loop_led)
     np.testing.assert_array_equal(field.mv_dy, mv_dy)
     np.testing.assert_array_equal(field.mv_dx, mv_dx)
@@ -194,7 +202,7 @@ def test_search_keeps_candidate_zero_when_its_sad_overflows():
     cur = -ref
     params = MotionParams(search_range=0, threshold=0.0, match_max_density=0.9)
     with np.errstate(over="ignore"):
-        field = search(cur, ref, spec, params, None)
+        field = full_grid(search(cur, ref, spec, params, None))
     differs = tensors.zero_pad((cur != ref).astype(np.float32), 1)
     kept = tensors.unfold_blocks(differs, 3, 1).sum(axis=-1)
     np.testing.assert_array_equal(field.nnz, kept)
@@ -238,7 +246,7 @@ def test_nonkey_path_gathers_only_rows_the_gemm_reads(monkeypatch):
     cur[:, 10:16, 11:17] = ref[:, 10:16, 10:16]
     spec = ConvSpec(weights=rng.uniform(-0.5, 0.5, (4, c, 3, 3)).astype(np.float32), padding=1)
     params = MotionParams(search_range=1, threshold=0.01, early_stop_density=0.3)
-    field = search(cur, ref, spec, params, None)
+    field = full_grid(search(cur, ref, spec, params, None))
     needed = int(np.count_nonzero(field.matched & (field.nnz > 0)))
     assert 0 < needed < field.positions // 10
 
@@ -349,7 +357,7 @@ def test_forward_nonkey_matches_per_position_sparse_conv(case, affine):
     led = FlopsLedger()
     out = layer.forward_nonkey(cur, led)
 
-    field = search(cur, ref, spec, params, None)
+    field = full_grid(search(cur, ref, spec, params, None))
     loop_led = FlopsLedger()
     want = loop_forward_nonkey(spec, ref, ref_output, cur, field.mv_dy, field.mv_dx, field.matched,
                                params.threshold, layer.post_scale, layer.post_shift, loop_led)
@@ -400,7 +408,7 @@ def forward_nonkey_as_loop(spec, params, cur, ref, field=None):
             mp.setattr(layer_mod, "search", lambda *args: field)
         out = layer.forward_nonkey(cur, led)
     if field is None:
-        field = search(cur, ref, spec, params, None)
+        field = full_grid(search(cur, ref, spec, params, None))
     loop_led = FlopsLedger()
     want = loop_forward_nonkey(spec, ref, ref_output, cur, field.mv_dy, field.mv_dx, field.matched,
                                params.threshold, ledger=loop_led)
@@ -470,7 +478,7 @@ def test_masked_residual_entries_are_zero(case):
     # the residual is the difference times its keep mask, so entries masked
     # out of a negative difference read -0.0, which must equal zero
     spec, params, cur, ref, _ = case
-    field = search(cur, ref, spec, params, None)
+    field = full_grid(search(cur, ref, spec, params, None))
     k, s, p = spec.kernel_size, spec.stride, spec.padding
     residual = dense_residual(field)
     for i in range(field.out_h):
@@ -483,3 +491,175 @@ def test_masked_residual_entries_are_zero(case):
             row = residual[i * field.out_w + j]
             np.testing.assert_array_equal(row[kept], diff[kept])
             assert (row[~kept] == 0).all()
+
+
+@st.composite
+def box_scenes(draw, scene):
+    """A 3x3 layer with a random stride, padding, search range, threshold
+    and early stop, and a current frame that differs from its reference
+    only where ``scene`` puts it: ``"patch"``, a 3x3 patch moved one grid
+    step over a static frame; ``"edge"``, one pixel in the first or last
+    row (or column) of some output position's receptive field; ``"border"``,
+    pixels in the k rows or columns at one edge of the region the windows
+    read; ``"none"``; or ``"everywhere"``, every pixel."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c, s, p = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2])), draw(st.integers(0, 1))
+    h, w = draw(st.integers(7, 12)), draw(st.integers(7, 12))
+    spec = ConvSpec(weights=rng.uniform(-0.5, 0.5, (2, c, 3, 3)).astype(np.float32), stride=s,
+                    padding=p, bias=rng.uniform(-0.2, 0.2, 2).astype(np.float32))
+    params = MotionParams(
+        search_range=draw(st.integers(0, 2)),
+        threshold=draw(st.sampled_from([0.0, 4 / 256])),
+        early_stop_density=draw(st.sampled_from([-1.0, 0.3])),
+        match_max_density=0.9,
+    )
+    out_h, out_w = spec.out_shape(h, w)
+    ref = rng.integers(0, 129, size=(c, h, w)) / 256
+    cur = ref.copy()
+    if scene == "patch":
+        y, x = int(rng.integers(0, h - 3 - s + 1)), int(rng.integers(0, w - 3 - s + 1))
+        cur[:, y + s : y + s + 3, x + s : x + s + 3] = ref[:, y : y + 3, x : x + 3] + 0.5
+    elif scene == "edge":
+        # a window's first or last row, at any of its columns, or the transpose;
+        # pixels in the padding do not exist, so draw until one lies in the frame
+        i, j = int(rng.integers(0, out_h)), int(rng.integers(0, out_w))
+        y, x = i * s - p + int(rng.choice([0, 2])), j * s - p + int(rng.integers(0, 3))
+        if rng.random() < 0.5:
+            y, x = i * s - p + int(rng.integers(0, 3)), j * s - p + int(rng.choice([0, 2]))
+        assume(0 <= y < h and 0 <= x < w)
+        cur[int(rng.integers(0, c)), y, x] += 0.5
+    elif scene == "border":
+        side = int(rng.integers(0, 4))
+        last = ((out_h - 1) * s - p, (out_w - 1) * s - p)[side % 2]
+        first = -p if side < 2 else last
+        strip = slice(max(first, 0), first + 3)
+        mask = np.zeros((h, w), bool)
+        if side % 2:
+            mask[:, strip] = rng.random((h, mask[:, strip].shape[1])) < 0.3
+        else:
+            mask[strip] = rng.random((mask[strip].shape[0], w)) < 0.3
+        assume(mask.any())
+        cur[:, mask] += 0.5
+    elif scene == "everywhere":
+        cur += rng.integers(1, 9, size=cur.shape) / 256
+    return cur.astype(np.float32), ref.astype(np.float32), spec, params
+
+
+def touched_box(cur, ref, spec):
+    """Brute force: (origin, shape) of the bounding box of the output
+    positions whose receptive field holds a pixel that differs bitwise."""
+    differs = cur.view(np.uint32) != ref.view(np.uint32)
+    padded = tensors.zero_pad(differs.astype(np.float32), spec.padding)
+    touched = tensors.unfold_blocks(padded, spec.kernel_size, spec.stride).any(axis=-1)
+    if not touched.any():
+        return (0, 0), (0, 0)
+    ii, jj = np.nonzero(touched)
+    return (ii.min(), jj.min()), (ii.max() + 1 - ii.min(), jj.max() + 1 - jj.min())
+
+
+def whole_grid_box(monkeypatch):
+    """Make the search treat every position as changed: today's scoring on
+    the whole grid, the reference for the box."""
+    monkeypatch.setattr(motion, "_changed_box", lambda cur, ref, k, s, m, h, w: (0, h, 0, w))
+
+
+BOX_SCENES = ["patch", "edge", "border", "none", "everywhere"]
+
+
+@pytest.mark.parametrize("scene", BOX_SCENES)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_search_box_matches_loop_and_whole_grid(scene, data):
+    # the search settles positions outside the changed box without scoring
+    # them; vectors, match flags, kept counts, residual columns, alpha and me
+    # FLOPs equal both the candidate loop's and a whole-grid search's
+    cur, ref, spec, params = data.draw(box_scenes(scene))
+    search_as_loop(cur, ref, spec, params)
+    led, whole_led = FlopsLedger(), FlopsLedger()
+    field = search(cur, ref, spec, params, led)
+    assert (field.origin, field.matched.shape) == touched_box(cur, ref, spec)
+    with pytest.MonkeyPatch.context() as mp:
+        whole_grid_box(mp)
+        whole = search(cur, ref, spec, params, whole_led)
+    assert whole.origin == (0, 0) and whole.matched.shape == (whole.out_h, whole.out_w)
+    grid = full_grid(field)
+    for name in ("matched", "mv_dy", "mv_dx", "nnz", "residual", "residual_at"):
+        np.testing.assert_array_equal(getattr(grid, name), getattr(whole, name), err_msg=name)
+    assert field.alpha == whole.alpha
+    assert led.me_flops == whole_led.me_flops
+
+
+@pytest.mark.parametrize("scene", BOX_SCENES)
+@settings(deadline=None, max_examples=25)
+@given(data=st.data(), compensate=st.booleans())
+def test_forward_nonkey_box_matches_whole_grid(scene, data, compensate):
+    # outside the box the layer copies the cached output; outputs, ledgers
+    # and stats (search alpha included) are those of the whole-grid search,
+    # bit for bit, and the outputs those of the per-position reference
+    cur, ref, spec, params = data.draw(box_scenes(scene))
+    forward_nonkey_as_loop(spec, params, cur, ref)
+
+    def run():
+        layer = MotionCompLayer(spec, params, activation="relu", compensate=compensate,
+                                post_scale=np.full(2, 1.5, np.float32))
+        layer.forward_key(ref, FlopsLedger())
+        led = FlopsLedger()
+        out = layer.forward_nonkey(cur, led)
+        return out, led, layer
+
+    out, led, layer = run()
+    with pytest.MonkeyPatch.context() as mp:
+        whole_grid_box(mp)
+        whole_out, whole_led, whole_layer = run()
+    np.testing.assert_array_equal(out, whole_out)
+    np.testing.assert_array_equal(layer.cache.prev_output, whole_layer.cache.prev_output)
+    assert led.counts() == whole_led.counts()
+    assert led.pred_bytes_moved == whole_led.pred_bytes_moved
+    assert layer.last_stats == whole_layer.last_stats
+
+
+def test_box_outside_positions_are_charged_as_the_loop_charges():
+    # one changed pixel: with early stopping on, every position outside the
+    # box evaluates candidate (0, 0) alone; with it off, every candidate
+    rng = np.random.default_rng(3)
+    ref = rng.random((2, 12, 12)).astype(np.float32)
+    cur = ref.copy()
+    cur[1, 6, 5] += 0.5
+    spec = ConvSpec(weights=np.ones((1, 2, 3, 3), np.float32), padding=1)
+    for early_stop, per_outside in ((0.3, 1), (-1.0, 9)):
+        params = MotionParams(threshold=0.01, early_stop_density=early_stop)
+        led = FlopsLedger()
+        field = search(cur, ref, spec, params, led)
+        assert field.origin == (5, 4) and field.matched.shape == (3, 3)
+        outside = field.positions - 9
+        inside = led.me_flops // (2 * spec.block_size) - outside * per_outside
+        assert 9 <= inside <= 81
+        _, loop_me, _ = search_as_loop(cur, ref, spec, params)
+        assert led.me_flops == loop_me
+
+
+def test_residual_at_tau_zero_is_the_raw_difference():
+    # at tau 0 the residual columns are the block differences bit for bit,
+    # signbit included: -0.0 in the current frame against 0.0 in the
+    # reference differs bitwise, so it lies in the box, and its difference
+    # -0.0 is kept out of the count but stays -0.0 in the column
+    rng = np.random.default_rng(4)
+    spec = ConvSpec(weights=np.ones((1, 2, 3, 3), np.float32), padding=1)
+    ref = (rng.integers(0, 257, size=(2, 9, 10)) / 256).astype(np.float32)
+    ref[:, 3:6, 3:6] = 0.0
+    cur = ref.copy()
+    cur[:, 3:6, 3:6] = -0.0
+    cur[0, 4, 4] = 0.25
+    cur[1, 7, 2] -= 0.5
+    params = MotionParams(search_range=1, threshold=0.0)
+    field = full_grid(search(cur, ref, spec, params, None))
+    assert field.residual_at.size
+    neg_zero = 0
+    for n, at in enumerate(field.residual_at):
+        i, j = divmod(int(at), field.out_w)
+        want = extract_block(cur, spec, i, j) - read_block_at(
+            ref, i - 1 + int(field.mv_dy[i, j]), j - 1 + int(field.mv_dx[i, j]), 3)
+        np.testing.assert_array_equal(field.residual[:, n].view(np.uint32),
+                                      want.ravel().view(np.uint32))
+        neg_zero += int(np.count_nonzero(np.signbit(want) & (want == 0)))
+    assert neg_zero

@@ -8,7 +8,7 @@ from motionconv.motion import MotionParams, _kept, search
 from motionconv.synth import SceneSpec, generate
 from motionconv.tensors import ConvSpec
 
-from oracles import expected_motion, naive_sad, sad, threshold_residual
+from oracles import expected_motion, full_grid, naive_sad, sad, threshold_residual
 
 
 def make_spec(rng, c_in=3, c_out=4, k=3, stride=1, padding=1):
@@ -140,7 +140,7 @@ class TestSearch:
         rng = np.random.default_rng(2)
         spec = make_spec(rng)
         x = rng.random((3, 10, 10), dtype=np.float32)
-        field = search(x, x.copy(), spec, MotionParams(threshold=0.01), FlopsLedger())
+        field = full_grid(search(x, x.copy(), spec, MotionParams(threshold=0.01), FlopsLedger()))
         assert field.alpha == 1.0
         assert field.matched.all()
         assert (field.mv_dy == 0).all() and (field.mv_dx == 0).all()
@@ -161,7 +161,7 @@ class TestSearch:
         rng = np.random.default_rng(4)
         spec = make_spec(rng, c_in=2, stride=stride, padding=1)
         params = MotionParams(search_range=1, threshold=0.0)
-        field = search(frames[1], frames[0], spec, params, FlopsLedger())
+        field = full_grid(search(frames[1], frames[0], spec, params, FlopsLedger()))
         truth = expected_motion(scene, 1)
         mask = truth.interior_mask(spec)
         assert mask.any()
@@ -210,7 +210,7 @@ class TestSearch:
         rng = np.random.default_rng(8)
         spec = make_spec(rng, c_in=1, padding=0)
         x = np.full((1, 12, 12), 0.25, dtype=np.float32)
-        field = search(x, x.copy(), spec, MotionParams(search_range=2, threshold=0.0, early_stop_density=-1.0), FlopsLedger())
+        field = full_grid(search(x, x.copy(), spec, MotionParams(search_range=2, threshold=0.0, early_stop_density=-1.0), FlopsLedger()))
         assert (field.mv_dy == 0).all() and (field.mv_dx == 0).all()
 
     def test_stats_recompute_match_stored(self):
@@ -218,7 +218,7 @@ class TestSearch:
         spec = make_spec(rng)
         scene = generate(SceneSpec(kind="noise_mix", height=14, width=14, channels=3,
                                    frame_count=2, seed=10, noise_amplitude=0.05))
-        field = search(scene[1], scene[0], spec, MotionParams(threshold=0.02, match_max_density=0.8), FlopsLedger())
+        field = full_grid(search(scene[1], scene[0], spec, MotionParams(threshold=0.02, match_max_density=0.8), FlopsLedger()))
         m = int(field.matched.sum())
         assert 0 < m < field.positions
         assert field.alpha == m / field.positions
@@ -273,8 +273,8 @@ class TestSearch:
                                     frame_count=2, seed=17, noise_amplitude=0.005))
         params_on = MotionParams(search_range=1, threshold=0.02, early_stop_density=0.3)
         params_off = params_on.updated(early_stop_density=-1.0)
-        f_on = search(frames[1], frames[0], spec, params_on, FlopsLedger())
-        f_off = search(frames[1], frames[0], spec, params_off, FlopsLedger())
+        f_on = full_grid(search(frames[1], frames[0], spec, params_on, FlopsLedger()))
+        f_off = full_grid(search(frames[1], frames[0], spec, params_off, FlopsLedger()))
         stopped_at_origin = (f_on.nnz <= 0.3 * spec.block_size) & (f_on.mv_dy == 0) & (f_on.mv_dx == 0)
         assert stopped_at_origin.any()
         np.testing.assert_array_equal(

@@ -5,7 +5,9 @@
 that differs. This runs one pass for the first three seeds of each through
 ``perfbench/workloads.py`` and compares it the way ``perfbench/gate.py``
 does (both imported read-only), so that ledger drift shows in the test
-suite without running the benchmark. It also checks that the functions
+suite without running the benchmark. One seed-58 pass of each also pins
+the candidates the traced benchmark counts per pass and the CLI
+workload's ``report.json`` digest. It also checks that the functions
 ``perfbench/tracing.py`` wraps by attribute name, and the attributes it
 reads off their results, are still there.
 """
@@ -45,6 +47,39 @@ def test_ledger_equals_pin(workload, seed, tmp_path, monkeypatch):
     rec = wl.run_pass(wl.setup(wl.WORKLOADS[workload], seed))
     assert rec.exit_code == 0 and rec.error is None
     assert {k: rec.ledger[k] for k in gate.COUNT_KEYS} == {k: pin[k] for k in gate.COUNT_KEYS}
+
+
+# Seed 58's per-pass traced motion.candidates_evaluated and block_raw_lossless
+# report.json digest, as BENCH_12.json recorded them before the search
+# settled unchanged positions without scoring them.
+SEED_58_CANDIDATES = {"pan_noise": 570963, "block_raw_lossless": 357790}
+SEED_58_REPORT = "2e02f090416aa44e5977e4fcec773cc893b6279ea2044796f727ca8dd1ddcf66"
+
+
+@pytest.mark.parametrize("workload", ["pan_noise", "block_raw_lossless"])
+def test_each_search_charges_every_position(workload, tmp_path, monkeypatch):
+    # the tracer counts one search call's candidates as its me charge over
+    # 2 k^2 C_in; that charge covers every output position, those the search
+    # settles outside its changed box included, so the count per pass and the
+    # CLI workload's report bytes stay as they were
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    wl = _perfbench("workloads")
+    prep = wl.setup(wl.WORKLOADS[workload], 58)
+    counted, real = [], layer.search
+
+    def counting(cur, ref, spec, params, ledger):
+        before = ledger.me_flops
+        field = real(cur, ref, spec, params, ledger)
+        counted.append((ledger.me_flops - before) // (2 * field.block_size))
+        return field
+
+    monkeypatch.setattr(layer, "search", counting)
+    rec = wl.run_pass(prep)
+    assert rec.exit_code == 0 and rec.error is None
+    assert sum(counted) == SEED_58_CANDIDATES[workload]
+    if workload == "block_raw_lossless":
+        assert rec.report_digest == SEED_58_REPORT
 
 
 def test_traced_attributes_exist():

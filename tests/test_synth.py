@@ -5,7 +5,7 @@ from motionconv.ledger import FlopsLedger
 from motionconv.motion import MotionParams, search
 from motionconv.synth import SceneSpec, generate, random_conv_spec
 
-from oracles import expected_motion
+from oracles import expected_motion, full_grid
 
 
 class TestGenerate:
@@ -107,7 +107,7 @@ class TestExpectedMotion:
             conv = random_conv_spec(rng, 2, 4, 3, s, 1)
             params = MotionParams(search_range=2, threshold=0.0)
             for t in (1, 2):
-                field = search(frames[t], frames[t - 1], conv, params, FlopsLedger())
+                field = full_grid(search(frames[t], frames[t - 1], conv, params, FlopsLedger()))
                 truth = expected_motion(scene, t)
                 mask = truth.interior_mask(conv)
                 assert mask.any()
@@ -125,7 +125,7 @@ class TestExpectedMotion:
         conv = random_conv_spec(rng, 2, 4, 3, 1, 1)
         params = MotionParams(search_range=1, threshold=0.0)
         t = 1
-        field = search(frames[t], frames[t - 1], conv, params, FlopsLedger())
+        field = full_grid(search(frames[t], frames[t - 1], conv, params, FlopsLedger()))
         truth = expected_motion(scene, t)
         mask = truth.interior_mask(conv)
         exp_dy, exp_dx = truth.mv_arrays(conv, field.out_h, field.out_w)
