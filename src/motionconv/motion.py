@@ -31,8 +31,10 @@ gathering both planes only at the blocks the residual GEMM reads,
 matched positions with a nonzero kept count. It thresholds their
 differences (a multiply by the keep mask, no select) into one compact
 residual: a tap-major column per listed position, the layout the layer's
-GEMM takes as it is. Matches whose residual stays too dense are handed
-back to the dense fallback path.
+GEMM takes as it is. It works a cache-sized block of channels at a time,
+taking the current blocks straight into the residual's rows and the
+reference blocks into one reused buffer. Matches whose residual
+stays too dense are handed back to the dense fallback path.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ledger import FlopsLedger
-from .tensors import ConvSpec, FeatureMap, ensure_feature_map, is_int, unfold_blocks, zero_pad
+from .tensors import (
+    ConvSpec, FeatureMap, block_index, ensure_feature_map, is_int, unfold_blocks, zero_pad,
+)
 
 
 @dataclass(frozen=True)
@@ -101,11 +105,12 @@ class MotionField:
     raster indices of the box, the matched positions with ``nnz > 0``: the
     only positions with a nonzero residual. ``residual`` is ``(block_size,
     len(residual_at))`` float32 in the tap-major ``unfold_blocks(...,
-    at=)`` layout: column n is the thresholded difference of position
-    ``residual_at[n]``, zero for entries below the threshold. Every other
-    position's residual is zero and is not stored. ``positions`` counts the
-    whole grid and ``alpha`` is its matched fraction, positions outside the
-    box included.
+    at=)`` layout, rows in (channel, dy, dx) order, filled by the builder
+    a block of channels at a time: column n is the thresholded difference
+    of position ``residual_at[n]``, zero for entries below the threshold.
+    Every other position's residual is zero and is not stored.
+    ``positions`` counts the whole grid and ``alpha`` is its matched
+    fraction, positions outside the box included.
     """
 
     out_h: int
@@ -156,29 +161,10 @@ def _block_sad(diff: np.ndarray) -> np.ndarray:
     return np.sum(rows, axis=-1, dtype=np.float64)
 
 
-def _differences(
-    spec: ConvSpec,
-    cur_pad: np.ndarray,
-    ref_pad: np.ndarray,
-    e: int,
-    steps_y: np.ndarray,
-    steps_x: np.ndarray,
-    positions: np.ndarray,
-) -> np.ndarray:
-    """``(block_size, len(positions))`` current blocks minus reference
-    blocks for the raster indices ``positions``. Both planes are zero-padded
-    by the layer's padding plus ``e`` grid steps, so their grids reach e
-    steps beyond the output grid on every side and output position (i, j)
-    sits at grid position (i + e, j + e). Each reference block is read at
-    the position's vector in grid steps, at most e steps long."""
-    out_w = steps_y.shape[1]
-    k, s = spec.kernel_size, spec.stride
-    i, j = np.divmod(positions, out_w)
-    src_i = i + steps_y.ravel()[positions] + e
-    src_j = j + steps_x.ravel()[positions] + e
-    diff = unfold_blocks(cur_pad, k, s, at=(i + e, j + e))
-    diff -= unfold_blocks(ref_pad, k, s, at=(src_i, src_j))
-    return diff
+# The builder works a block of channels at a time, each of its two gathers
+# at most this many bytes of float32 (but at least one channel), so that a
+# block stays in cache from its gathers through the thresholding.
+_GATHER_BLOCK_BYTES = 128 * 1024
 
 
 def _build_field(
@@ -196,22 +182,48 @@ def _build_field(
     origin: tuple[int, int],
 ) -> MotionField:
     """The MotionField of per-position vectors given in grid steps, with
-    their kept counts ``nnz`` and match flags ``matched``, on planes padded
-    by ``e`` grid steps beyond the layer's padding as ``_differences``
-    takes them. The field's arrays and raster indices are those of the
-    ``steps_y`` grid, here the box whose first position is ``origin`` of an
-    ``out_h x out_w`` output grid.
+    their kept counts ``nnz`` and match flags ``matched``. The field's
+    arrays and raster indices are those of the ``steps_y`` grid, here the
+    box whose first position is ``origin`` of an ``out_h x out_w`` output
+    grid. Both planes are zero-padded by the layer's padding plus ``e``
+    grid steps, so their grids reach e steps beyond the box on every side
+    and box position (i, j) sits at grid position (i + e, j + e); each
+    reference block is read at the position's vector, at most e steps long.
 
     Both planes are gathered only at matched positions with ``nnz > 0``;
-    their differences, times the keep mask, are the residual's columns
-    (masked entries of negative differences read -0.0, which equals 0). At
-    tau 0 the keep mask is "difference != 0", so the multiply would return
-    every entry as it is, -0.0 included, and is skipped.
+    the current blocks minus the reference blocks, times the keep mask,
+    are the residual's columns (masked entries of negative differences read
+    -0.0, which equals 0). At tau 0 the keep mask is "difference != 0", so
+    the multiply would return every entry as it is, -0.0 included, and is
+    skipped. Each gather's block index is built once (``block_index``),
+    and the residual a block of channels at a time (``_GATHER_BLOCK_BYTES``):
+    the current block is taken straight into the residual's rows, the
+    reference block into one reused buffer, and the subtraction and
+    thresholding run on them while they are in cache.
     """
     need = np.flatnonzero(matched & (nnz > 0))
-    diff = _differences(spec, cur_pad, ref_pad, e, steps_y, steps_x, need)
-    if tau > 0:
-        np.multiply(diff, _kept(np.abs(diff), tau), out=diff)
+    k, s = spec.kernel_size, spec.stride
+    c, taps, n = spec.in_channels, k * k, need.size
+    i, j = np.divmod(need, steps_y.shape[1])
+    cur_index = block_index(cur_pad.shape, k, s, (i + e, j + e))
+    ref_index = block_index(ref_pad.shape, k, s, (i + e + steps_y.ravel()[need],
+                                                  j + e + steps_x.ravel()[need]))
+    res = np.empty((c, taps, n), np.float32)
+    cur_flat, ref_flat = cur_pad.reshape(c, -1), ref_pad.reshape(c, -1)
+    step = max(1, _GATHER_BLOCK_BYTES // (4 * taps * max(n, 1)))
+    buf = np.empty((min(step, c), taps, n), np.float32)
+    keep = np.empty(buf.shape, bool) if tau > 0 else None
+    for c0 in range(0, c, step):
+        c1 = min(c, c0 + step)
+        diff, ref = res[c0:c1], buf[: c1 - c0]
+        # block_index checks the positions, so "clip" never clips; it lets
+        # take write to its out unbuffered
+        np.take(cur_flat[c0:c1], cur_index, axis=1, mode="clip", out=diff)
+        np.take(ref_flat[c0:c1], ref_index, axis=1, mode="clip", out=ref)
+        np.subtract(diff, ref, out=diff)
+        if tau > 0:
+            np.abs(diff, out=ref)
+            np.multiply(diff, _kept(ref, tau, out=keep[: c1 - c0]), out=diff)
     return MotionField(
         out_h=out_h,
         out_w=out_w,
@@ -220,7 +232,7 @@ def _build_field(
         mv_dy=steps_y * spec.stride,
         mv_dx=steps_x * spec.stride,
         nnz=nnz,
-        residual=diff,
+        residual=res.reshape(c * taps, n),
         residual_at=need,
         origin=origin,
     )

@@ -153,62 +153,62 @@ def run_sequence(net: Network, frames: Iterable[FeatureMap], config: GopConfig) 
     oracle_mean: list[float] = []
     expected_shape = None
 
-    for t, frame in enumerate(frames):
-        try:
-            x = ensure_feature_map(frame, channels=net.layers[0].spec.in_channels, name=f"frame {t}")
-        except ValueError as exc:
-            raise ValueError(f"frame {t}: {exc}") from exc
-        if expected_shape is None:
-            expected_shape = x.shape
-        elif x.shape != expected_shape:
-            raise ValueError(
-                f"frame {t}: shape {x.shape} drifted from {expected_shape}"
-            )
+    try:
+        for t, frame in enumerate(frames):
+            x = ensure_feature_map(frame, channels=net.layers[0].spec.in_channels,
+                                   name=f"frame {t}")
+            if expected_shape is None:
+                expected_shape = x.shape
+            elif x.shape != expected_shape:
+                raise ValueError(
+                    f"frame {t}: shape {x.shape} drifted from {expected_shape}"
+                )
 
-        is_key = (t % config.gop_length) == 0
-        if is_key:
-            net.reset_all()
-        for li, layer in enumerate(net.layers):
-            sub = FlopsLedger()
-            in_h, in_w = x.shape[1], x.shape[2]
-            out_h, out_w = layer.spec.out_shape(in_h, in_w)
-            try:
-                x = layer.forward_key(x, sub) if is_key else layer.forward_nonkey(x, sub)
-            except ValueError as exc:
-                raise ValueError(f"frame {t}, layer {li}: {exc}") from exc
-            rec = LayerFrameRecord(
-                frame=t,
-                layer=li,
-                is_key=is_key,
-                flops=sub.counts(),
-                pred_bytes=sub.pred_bytes_moved,
-                kernel_size=layer.spec.kernel_size,
-                stride=layer.spec.stride,
-                padding=layer.spec.padding,
-                in_channels=layer.spec.in_channels,
-                out_channels=layer.spec.out_channels,
-                out_h=out_h,
-                out_w=out_w,
-                search_range=layer.params.search_range,
-                positions=out_h * out_w,
-            )
-            if not is_key and layer.last_stats is not None:
-                st = layer.last_stats
-                rec = replace(rec, matched=st.matched, demoted=st.demoted, nnz_total=st.nnz_total,
-                              block_size=st.block_size, alpha=st.alpha, beta=st.beta,
-                              search_alpha=st.search_alpha)
-            records.append(rec)
-            ledger.merge(sub)
-        outputs.append(x)
+            is_key = (t % config.gop_length) == 0
+            if is_key:
+                net.reset_all()
+            for li, layer in enumerate(net.layers):
+                sub = FlopsLedger()
+                in_h, in_w = x.shape[1], x.shape[2]
+                out_h, out_w = layer.spec.out_shape(in_h, in_w)
+                try:
+                    x = layer.forward_key(x, sub) if is_key else layer.forward_nonkey(x, sub)
+                except ValueError as exc:
+                    raise ValueError(f"frame {t}, layer {li}: {exc}") from exc
+                rec = LayerFrameRecord(
+                    frame=t,
+                    layer=li,
+                    is_key=is_key,
+                    flops=sub.counts(),
+                    pred_bytes=sub.pred_bytes_moved,
+                    kernel_size=layer.spec.kernel_size,
+                    stride=layer.spec.stride,
+                    padding=layer.spec.padding,
+                    in_channels=layer.spec.in_channels,
+                    out_channels=layer.spec.out_channels,
+                    out_h=out_h,
+                    out_w=out_w,
+                    search_range=layer.params.search_range,
+                    positions=out_h * out_w,
+                )
+                if not is_key and layer.last_stats is not None:
+                    st = layer.last_stats
+                    rec = replace(rec, matched=st.matched, demoted=st.demoted,
+                                  nnz_total=st.nnz_total, block_size=st.block_size,
+                                  alpha=st.alpha, beta=st.beta, search_alpha=st.search_alpha)
+                records.append(rec)
+                ledger.merge(sub)
+            outputs.append(x)
 
-        if config.oracle:
-            ref = net.plain_forward(ensure_feature_map(frame))
-            diff = np.abs(outputs[-1].astype(np.float64) - ref.astype(np.float64))
-            oracle_max.append(float(diff.max()))
-            oracle_mean.append(float(diff.mean()))
-
-    # every run starts with a key frame, so the caches are dead from here on
-    net.reset_all()
+            if config.oracle:
+                ref = net.plain_forward(ensure_feature_map(frame))
+                diff = np.abs(outputs[-1].astype(np.float64) - ref.astype(np.float64))
+                oracle_max.append(float(diff.max()))
+                oracle_mean.append(float(diff.mean()))
+    finally:
+        # every run starts with a key frame, so the caches are dead from here
+        # on, whether the run returns or raises
+        net.reset_all()
     if not outputs:
         raise ValueError("empty frame sequence")
     return RunResult(

@@ -117,6 +117,28 @@ def zero_pad(x: np.ndarray, pad: int) -> np.ndarray:
     return padded
 
 
+def block_index(
+    shape: tuple[int, int, int], kernel_size: int, stride: int, at: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """``(k*k, n)`` flat offsets of the blocks at ``at=(rows, cols)``, integer
+    arrays of equal length n indexing the grid of every stride-aligned
+    k x k window of a ``(C, H, W)`` plane of ``shape``: row t of column n
+    is tap t = (dy, dx) of position n, as an offset into one channel of
+    the plane flattened to ``(C, H*W)``. Raises ``ValueError`` when a
+    position lies outside the grid."""
+    _, hp, wp = shape
+    k, s = kernel_size, stride
+    rows, cols = np.asarray(at[0]), np.asarray(at[1])
+    if rows.size and (
+        min(rows.min(), cols.min()) < 0
+        or rows.max() > (hp - k) // s
+        or cols.max() > (wp - k) // s
+    ):
+        raise ValueError("a gathered position lies outside the grid")
+    taps = (np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1, 1)
+    return taps + (rows * (s * wp) + cols * s)
+
+
 def unfold_blocks(
     padded: np.ndarray,
     kernel_size: int,
@@ -135,24 +157,17 @@ def unfold_blocks(
     those positions are gathered, tap-major: ``(C*k*k, n)`` columns in the
     same (channel, dy, dx) row order, one column per position in the given
     order, so ``weights.reshape(C_out, -1) @ cols`` is the ``(C_out, n)``
-    output. One ``take`` reads them through a ``(k*k, n)`` index of block
-    corners plus tap offsets. The result is always a writeable array that
-    shares no memory.
+    output. One ``take`` reads them through the ``(k*k, n)`` index of block
+    corners plus tap offsets that ``block_index`` builds. The result is
+    always a writeable array that shares no memory.
     """
     c, hp, wp = padded.shape
     k, s = kernel_size, stride
     if at is not None:
-        rows, cols = np.asarray(at[0]), np.asarray(at[1])
-        if rows.size and (
-            min(rows.min(), cols.min()) < 0
-            or rows.max() > (hp - k) // s
-            or cols.max() > (wp - k) // s
-        ):
-            raise ValueError("unfold_blocks: a gathered position lies outside the grid")
-        taps = (np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1, 1)
-        index = taps + (rows * (s * wp) + cols * s)
-        out = np.empty((c * k * k, rows.size), dtype=np.float32)
-        # checked above, so "clip" never clips; it lets take write to out unbuffered
+        index = block_index(padded.shape, k, s, at)
+        out = np.empty((c * k * k, index.shape[1]), dtype=np.float32)
+        # block_index checks the positions, so "clip" never clips; it lets
+        # take write to out unbuffered
         np.take(padded.reshape(c, hp * wp), index, axis=1, mode="clip",
                 out=out.reshape(c, k * k, -1))
         return out

@@ -236,9 +236,10 @@ def test_nonkey_path_gathers_only_rows_the_gemm_reads(monkeypatch):
     # A static textured frame with one 6x6 block moving one pixel: with early
     # stopping on, the background retires after candidate (0, 0) with empty
     # residuals, and only matched rows with kept entries may be gathered, once
-    # from each frame. Near-ties would add rows of their own (one current and
-    # two reference rows each); uniform random texture gives none, so the
-    # builder's two gathers are the only ones.
+    # from each frame, through one block index each. Near-ties would add
+    # indices of their own (one over their current rows, one over their
+    # reference rows at every candidate); uniform random texture gives none,
+    # so the builder's two indices are the only ones.
     rng = np.random.default_rng(21)
     c, h, w = 3, 32, 32
     ref = rng.random((c, h, w)).astype(np.float32)
@@ -251,16 +252,19 @@ def test_nonkey_path_gathers_only_rows_the_gemm_reads(monkeypatch):
     assert 0 < needed < field.positions // 10
 
     gathered = []
-    real = motion.unfold_blocks
+    real = tensors.block_index
 
-    def counting(x, *args, **kwargs):
-        out = real(x, *args, **kwargs)
-        gathered.append(out.size // spec.block_size)
-        return out
+    def counting(*args, **kwargs):
+        index = real(*args, **kwargs)
+        gathered.append(index.shape[1])
+        return index
 
     layer = MotionCompLayer(spec, params)
     layer.forward_key(ref, FlopsLedger())
-    monkeypatch.setattr(motion, "unfold_blocks", counting)
+    # the builder builds its two indices itself; every other gather of the
+    # search (near ties) builds its index inside unfold_blocks
+    for owner in (motion, tensors):
+        monkeypatch.setattr(owner, "block_index", counting)
     layer.forward_nonkey(cur, FlopsLedger())
     assert layer.last_stats.matched == int(np.count_nonzero(field.matched))
     assert len(gathered) == 2
@@ -278,7 +282,7 @@ def test_each_frame_is_padded_once(seed, monkeypatch):
     # after it pads that too.
     cur, ref, spec, params = mirror_stack(seed)
     pads, gathers, fallbacks = [], [], []
-    real_pad, real_gather = tensors.zero_pad, motion.unfold_blocks
+    real_pad, real_index, real_gather = tensors.zero_pad, tensors.block_index, tensors.unfold_blocks
 
     def counting_pad(owner):
         def pad(x, width):
@@ -286,9 +290,9 @@ def test_each_frame_is_padded_once(seed, monkeypatch):
             return real_pad(x, width)
         return pad
 
-    def counting_gather(*args, **kwargs):
+    def counting_index(*args, **kwargs):
         gathers.append(1)
-        return real_gather(*args, **kwargs)
+        return real_index(*args, **kwargs)
 
     def counting_fallback(*args, **kwargs):
         fallbacks.append(1)
@@ -296,10 +300,13 @@ def test_each_frame_is_padded_once(seed, monkeypatch):
 
     for owner in (motion, tensors, layer_mod):
         monkeypatch.setattr(owner, "zero_pad", counting_pad(owner))
-    monkeypatch.setattr(motion, "unfold_blocks", counting_gather)
+    # the builder builds its two indices itself, the near-tie gathers inside
+    # unfold_blocks
+    for owner in (motion, tensors):
+        monkeypatch.setattr(owner, "block_index", counting_index)
     monkeypatch.setattr(layer_mod, "unfold_blocks", counting_fallback)
     search(cur, ref, spec, params, None)
-    # two builder gathers; more means near ties ran
+    # two builder index builds; more means near ties ran
     assert len(gathers) > 2
     margin = spec.padding + params.search_range * spec.stride
     assert pads == [("motion", margin)] * 2
@@ -660,6 +667,45 @@ def test_residual_at_tau_zero_is_the_raw_difference():
         want = extract_block(cur, spec, i, j) - read_block_at(
             ref, i - 1 + int(field.mv_dy[i, j]), j - 1 + int(field.mv_dx[i, j]), 3)
         np.testing.assert_array_equal(field.residual[:, n].view(np.uint32),
+                                      want.ravel().view(np.uint32))
+        neg_zero += int(np.count_nonzero(np.signbit(want) & (want == 0)))
+    assert neg_zero
+
+
+@pytest.mark.parametrize("tau", [0.0, 4 / 256])
+@pytest.mark.parametrize("channels_per_block", [1, 2])
+def test_residual_built_in_channel_blocks(tau, channels_per_block, monkeypatch):
+    # the builder gathers and thresholds the residual a block of channels at
+    # a time, ``_GATHER_BLOCK_BYTES`` of gathers per block; the small frames
+    # of the other tests fit in one block, so here it shrinks to one channel
+    # (blocks 1 + 1 + 1) or two (2 + 1). Every residual column is still the
+    # block difference times its keep mask bit for bit, signbit included,
+    # and the field is the one built in a single block.
+    rng = np.random.default_rng(4)
+    spec = ConvSpec(weights=np.ones((1, 3, 3, 3), np.float32), padding=1)
+    ref = (rng.integers(0, 257, size=(3, 9, 10)) / 256).astype(np.float32)
+    ref[:, 3:6, 3:6] = 0.0
+    cur = np.roll(ref, 1, axis=2) + rng.integers(-6, 7, size=ref.shape) / 256
+    cur = cur.astype(np.float32)
+    cur[:, 3:6, 3:6] = -0.0
+    cur[0, 4, 4] = 0.25
+    params = MotionParams(search_range=1, threshold=tau)
+    whole = full_grid(search(cur, ref, spec, params, None))
+    n = whole.residual_at.size
+    assert 0 < 4 * spec.block_size * n <= motion._GATHER_BLOCK_BYTES  # one block unpatched
+    channel_bytes = 4 * 9 * n  # one channel's gather: 9 taps of n float32 columns
+    monkeypatch.setattr(motion, "_GATHER_BLOCK_BYTES", channels_per_block * channel_bytes)
+    field, _, _ = search_as_loop(cur, ref, spec, params)
+    for name in ("mv_dy", "mv_dx", "matched", "nnz", "residual_at"):
+        np.testing.assert_array_equal(getattr(field, name), getattr(whole, name))
+    np.testing.assert_array_equal(field.residual.view(np.uint32), whole.residual.view(np.uint32))
+    neg_zero = 0
+    for col, at in enumerate(field.residual_at):
+        i, j = divmod(int(at), field.out_w)
+        diff = extract_block(cur, spec, i, j) - read_block_at(
+            ref, i - 1 + int(field.mv_dy[i, j]), j - 1 + int(field.mv_dx[i, j]), 3)
+        want = diff * (np.abs(diff) >= tau) if tau > 0 else diff
+        np.testing.assert_array_equal(field.residual[:, col].view(np.uint32),
                                       want.ravel().view(np.uint32))
         neg_zero += int(np.count_nonzero(np.signbit(want) & (want == 0)))
     assert neg_zero

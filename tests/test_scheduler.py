@@ -196,3 +196,25 @@ class TestRunSequence:
                                     frame_count=4, seed=13, motion=(1, 0)))
         run_sequence(net, frames, GopConfig(gop_length=4))
         assert all(layer.cache is None and layer.last_stats is None for layer in net.layers)
+
+    @pytest.mark.parametrize("bad", ["nan", "channels", "layer"])
+    def test_caches_released_when_a_frame_fails(self, bad):
+        # a frame that fails mid-sequence leaves no layer cache behind, and
+        # the error names the frame once
+        net = make_net(seed=12)
+        frames = generate(SceneSpec(kind="noise_mix", height=10, width=10, channels=3,
+                                    frame_count=4, seed=13, motion=(1, 0)))
+        if bad == "nan":
+            frames[2] = frames[2].copy()
+            frames[2][0, 3, 3] = np.nan
+            match = "^frame 2 contains non-finite values$"
+        elif bad == "channels":
+            frames[2] = frames[2][:2]
+            match = "^frame 2 has 2 channels, expected 3$"
+        else:
+            # a frame that passes validation but overflows inside the network
+            frames[2] = np.full_like(frames[2], 3e38)
+            match = r"^frame 2, layer \d: "
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=match):
+            run_sequence(net, frames, GopConfig(gop_length=4))
+        assert all(layer.cache is None and layer.last_stats is None for layer in net.layers)
