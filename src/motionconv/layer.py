@@ -11,12 +11,16 @@ convolution of the sparse residual, and fall back to dense per-position
 convolution where no usable match exists; the fallback gathers the
 receptive fields of those positions only, from the same padded plane.
 The output starts as a copy of the cached output, which is already every
-position's output outside the search's box of changed positions. Inside
-the box, the residual GEMM turns the field's tap-major columns into the
-compensated outputs (prediction plus convolved residual) of the positions
-they list; one column gather then writes every box position, from those
-columns or from the cached output, and the fallback overwrites every box
-position the prediction does not serve, demoted ones included. The
+position's output outside the search's box of changed positions (a box
+of the whole grid skips the copy). Inside the box, the residual GEMM turns
+the field's tap-major columns into compensated outputs (prediction plus
+convolved residual). When every box position owns a column, as where the
+search lists most of the box, the GEMM plus the predictions is written
+straight into the box and positions with nothing kept get their pure copy
+back; otherwise the listed positions' columns are appended to the cached
+output and one column gather writes every box position from either. The
+fallback then overwrites every box position the prediction does not
+serve, demoted ones included. The
 activation, when configured, is applied after reconstruction so the next
 layer always sees true post-activation features; the cache keeps
 pre-activation values because only those decompose linearly.
@@ -139,7 +143,7 @@ class MotionCompLayer:
     ):
         self.spec = spec
         self.params = params if params is not None else MotionParams()
-        if activation not in ACTIVATIONS:
+        if not isinstance(activation, str) or activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}; choose from {sorted(ACTIVATIONS)}")
         self.activation = activation
         self.post_scale = self._channel_vec(post_scale, "post_scale")
@@ -200,7 +204,7 @@ class MotionCompLayer:
         self.cache = None
         self.last_stats = None
 
-    def forward_key(self, x: FeatureMap, ledger: FlopsLedger) -> FeatureMap:
+    def forward_key(self, x: FeatureMap, ledger: FlopsLedger | None) -> FeatureMap:
         """Dense convolution; refreshes the cache with a copy of this frame.
 
         ``conv2d`` validates ``x``. The copy is cached unpadded (margin 0),
@@ -216,7 +220,7 @@ class MotionCompLayer:
         """Plain convolution path with no cache side effects (oracle runs)."""
         return self._activate(self._affine(conv2d(x, self.spec, ledger)))
 
-    def forward_nonkey(self, x: FeatureMap, ledger: FlopsLedger) -> FeatureMap:
+    def forward_nonkey(self, x: FeatureMap, ledger: FlopsLedger | None) -> FeatureMap:
         """Predict from the cached reference output and compensate residuals.
 
         Matched positions copy the cached output at the vector-displaced grid
@@ -227,7 +231,19 @@ class MotionCompLayer:
         prediction would fall outside the output grid, are computed densely
         with bias and charged as unmatched work. Positions outside the
         field's box are matched copies at vector (0, 0): the output starts
-        as a copy of the cached output, and only the box is worked on.
+        as a copy of the cached output, and only the box is worked on; a box
+        of the whole grid needs no copy, since every box position is written.
+
+        How the box is compensated follows from which positions own residual
+        columns (``MotionField``). When every box position owns one
+        (``whole_box``), ``W @ residual``, scaled by ``post_scale``, plus
+        every position's prediction is written straight into the box, the
+        GEMM itself into the output when the box is the whole grid; positions
+        with nothing kept get their pure prediction back. Otherwise the
+        compensated columns of the listed positions are appended to the
+        cached output and one column gather writes every box position from
+        either. Then the fallback overwrites every position the prediction
+        does not serve, unmatched and demoted ones.
 
         ``x`` is validated and zero-padded once, by the search margin. The
         search reads that plane against the cached one without validating
@@ -235,7 +251,8 @@ class MotionCompLayer:
         r (the search range), and the cache keeps it for the next frame.
         A cached plane with another margin, a key frame's unpadded copy or
         a plane padded under another search range, is padded again from
-        its interior.
+        its interior. ``ledger=None`` skips accounting, as in ``forward_key``
+        and the search.
         """
         if self.cache is None:
             raise LayerError("no cached reference; process a key frame first")
@@ -267,32 +284,56 @@ class MotionCompLayer:
         demoted = int(np.count_nonzero(field.matched & ~in_grid))
         matched = int(np.count_nonzero(served)) + out_h * out_w - served.size
 
-        # positions outside the field's box keep the cached output; one whole
-        # copy beats copying only the outside, slab by slab
+        # the prediction or the fallback below writes every box position, so a
+        # whole-grid box needs no copy of the cached output; a smaller one
+        # starts from one, and one whole copy beats copying only the outside,
+        # slab by slab
         prev = self.cache.prev_output
-        out = prev.copy()
+        whole_grid = (box_h, box_w) == (out_h, out_w)
+        out = np.empty_like(prev) if whole_grid else prev.copy()
         box = out[:, i0:i1, j0:j1]
-        ledger.add_pred_bytes(4 * c_out * matched)
+        if ledger is not None:
+            ledger.add_pred_bytes(4 * c_out * matched)
 
         nnz_total = 0
         if served.any():
-            # One take writes every box position from the cached output, or
-            # from the compensated columns appended to it for positions listed
-            # in residual_at. Sources of unserved positions are clipped and the
-            # fallback overwrites them, demoted listed positions included.
+            # Sources of unserved positions are clipped, and the fallback
+            # overwrites those positions, demoted listed ones included.
             src = (src_i * out_w + src_j).ravel()
             source = prev.reshape(c_out, -1)
+            weights = spec.weights.reshape(c_out, -1)
             if self.compensate:
                 nnz_total = int(field.nnz[served].sum())
-                nz = field.residual_at
-                comp = spec.weights.reshape(c_out, -1) @ field.residual
+                if ledger is not None:
+                    ledger.charge("res", 2 * nnz_total * c_out)
+            if self.compensate and field.whole_box:
+                # every box position owns a column: the GEMM plus the
+                # prediction is the box, written straight into the output.
+                # Positions with nothing kept get their pure copy back: their
+                # zero column's product, +0.0, turns a -0.0 prediction into 0.0
+                pred = np.take(source, src, axis=1, mode="clip").reshape(box.shape)
+                if whole_grid:
+                    comp = np.matmul(weights, field.residual, out=out.reshape(c_out, -1))
+                else:
+                    comp = weights @ field.residual
                 if self.post_scale is not None:
                     comp *= self.post_scale[:, None]
-                comp += np.take(source, src[nz], axis=1, mode="clip")
-                source = np.concatenate([source, comp], axis=1)
-                src[nz] = out_h * out_w + np.arange(nz.size)
-                ledger.charge("res", 2 * nnz_total * c_out)
-            np.take(source, src.reshape(box_h, box_w), axis=1, out=box, mode="clip")
+                np.add(comp.reshape(box.shape), pred, out=box)
+                zi, zj = np.nonzero(field.nnz == 0)
+                box[:, zi, zj] = pred[:, zi, zj]
+            else:
+                # One take writes every box position from the cached output,
+                # or from the compensated columns appended to it for positions
+                # listed in residual_at.
+                if self.compensate:
+                    nz = field.residual_at
+                    comp = weights @ field.residual
+                    if self.post_scale is not None:
+                        comp *= self.post_scale[:, None]
+                    comp += np.take(source, src[nz], axis=1, mode="clip")
+                    source = np.concatenate([source, comp], axis=1)
+                    src[nz] = out_h * out_w + np.arange(nz.size)
+                np.take(source, src.reshape(box_h, box_w), axis=1, out=box, mode="clip")
 
         fi, fj = np.nonzero(~served)
         if fi.size:

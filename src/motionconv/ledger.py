@@ -8,9 +8,20 @@ compensation, and the dense fallback for unmatched positions.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 CATEGORIES = ("key", "me", "res", "unmatched")
+
+
+def _count(value, what: str) -> int:
+    """``value`` as a Python int; ``ValueError`` unless it is a
+    non-negative integer (Python or numpy, not a bool or a float)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} must be non-negative, got {value}")
+    return int(value)
 
 
 @dataclass
@@ -33,16 +44,11 @@ class FlopsLedger:
         """Add ``amount`` FLOPs to one category. Counters never decrease."""
         if category not in CATEGORIES:
             raise ValueError(f"unknown FLOPs category {category!r}")
-        amount = int(amount)
-        if amount < 0:
-            raise ValueError(f"FLOPs charge must be non-negative, got {amount}")
         field = f"{category}_flops"
-        setattr(self, field, getattr(self, field) + amount)
+        setattr(self, field, getattr(self, field) + _count(amount, "FLOPs charge"))
 
     def add_pred_bytes(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError("byte count must be non-negative")
-        self.pred_bytes_moved += int(nbytes)
+        self.pred_bytes_moved += _count(nbytes, "byte count")
 
     def merge(self, other: "FlopsLedger") -> None:
         """Counter-wise addition; associative and commutative."""

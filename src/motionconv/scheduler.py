@@ -85,6 +85,11 @@ class Network:
         for i, entry in enumerate(desc["layers"]):
             source = f"layer {i} of network description {path}"
             require_keys(entry, ("weights",), source, allowed=LAYER_KEYS)
+            if not isinstance(entry["weights"], str):
+                raise ValueError(
+                    f"'weights' of {source} must be a path string, "
+                    f"got {type(entry['weights']).__name__}"
+                )
             weights = Path(entry["weights"])
             if not weights.is_absolute():
                 weights = path.parent / weights

@@ -120,6 +120,25 @@ class TestLedger:
         with pytest.raises(ValueError):
             led.charge("bogus", 1)
 
+    @pytest.mark.parametrize("amount", [2.5, 2.0, "3", True, None])
+    def test_rejects_counts_that_are_not_integers(self, amount):
+        # a float charge was once truncated silently; counts stay exact integers
+        led = FlopsLedger()
+        with pytest.raises(ValueError, match="must be an integer"):
+            led.charge("me", amount)
+        with pytest.raises(ValueError, match="must be an integer"):
+            led.add_pred_bytes(amount)
+        assert led.total == 0 and led.pred_bytes_moved == 0
+
+    def test_accepts_numpy_integers_as_python_ints(self):
+        led = FlopsLedger()
+        led.charge("res", np.int64(6))
+        led.add_pred_bytes(np.int32(8))
+        assert (led.res_flops, led.pred_bytes_moved) == (6, 8)
+        assert type(led.res_flops) is int and type(led.pred_bytes_moved) is int
+        with pytest.raises(ValueError, match="non-negative"):
+            led.add_pred_bytes(-4)
+
     @settings(deadline=None, max_examples=30)
     @given(st.lists(st.tuples(st.sampled_from(["key", "me", "res", "unmatched"]),
                               st.integers(0, 10**12)), max_size=20))

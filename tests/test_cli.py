@@ -253,6 +253,27 @@ class TestVerify:
         assert out.count("PASS") == 4
         assert "FAIL" not in out
 
+    def test_threshold_bound_grows_with_gop_position(self, capsys):
+        # the cache chains reconstructions: each frame is held to g times the
+        # one-step bound at GOP position g, a key frame to 1e-4
+        assert main(["verify", "--seed", "5"]) == 0
+        line = [l for l in capsys.readouterr().out.splitlines() if "GOP position g" in l]
+        assert len(line) == 1 and line[0].startswith("PASS")
+        ratio = float(line[0].split("worst ratio=")[1].rstrip("]"))
+        assert 0 < ratio <= 1
+
+    def test_gop_bound_scales_with_position(self):
+        from motionconv.cli import _worst_gop_bound_ratio
+
+        bound = 0.5
+        at_allowance = [(t % 4) * bound + 1e-4 for t in range(9)]
+        assert _worst_gop_bound_ratio(at_allowance, 4, bound) == pytest.approx(1.0)
+        # 2.5 one-step bounds are within reach at position 3, not at position 1
+        assert _worst_gop_bound_ratio([0.0, 0.0, 0.0, 2.5 * bound], 4, bound) < 1
+        assert _worst_gop_bound_ratio([0.0, 2.5 * bound], 4, bound) > 1
+        # a key frame may differ by 1e-4 only
+        assert _worst_gop_bound_ratio([2e-4], 4, bound) == pytest.approx(2.0)
+
     def test_tau_zero_settings_coincide(self, capsys):
         assert main(["verify", "--tau", "0", "--seed", "4"]) == 0
         assert "coincide" in capsys.readouterr().out

@@ -314,6 +314,31 @@ class TestAffineAndActivation:
         with pytest.raises(ValueError, match="activation"):
             MotionCompLayer(make_spec(rng), activation="tanh")
 
+    @pytest.mark.parametrize("activation", [["relu"], {"relu": 1}, None, 1])
+    def test_activation_that_is_not_a_name_rejected(self, activation):
+        # an unhashable value once raised a bare TypeError from the lookup
+        rng = np.random.default_rng(19)
+        with pytest.raises(ValueError, match="unknown activation"):
+            MotionCompLayer(make_spec(rng), activation=activation)
+
+
+class TestLedgerOptional:
+    def test_nonkey_without_ledger_skips_accounting(self):
+        # forward_key and search take ledger=None; so does forward_nonkey,
+        # with the same outputs and stats as a run that counts
+        rng = np.random.default_rng(23)
+        spec = make_spec(rng)
+        x0 = rng.random((3, 10, 10), dtype=np.float32)
+        x1 = np.clip(x0 + rng.uniform(-0.05, 0.05, x0.shape), 0, 1).astype(np.float32)
+        runs = []
+        for ledger in (None, FlopsLedger()):
+            layer = MotionCompLayer(spec, MotionParams(threshold=0.01))
+            layer.forward_key(x0, ledger)
+            runs.append((layer.forward_nonkey(x1, ledger), layer.last_stats))
+        (out, stats), (want, want_stats) = runs
+        np.testing.assert_array_equal(out, want)
+        assert stats == want_stats and stats.nnz_total > 0
+
 
 class TestCompensationToggle:
     def test_disabled_compensation_skips_residual_work(self):

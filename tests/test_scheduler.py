@@ -67,6 +67,16 @@ class TestNetwork:
         with pytest.raises(ValueError, match=f"{net_path}.*'layers'"):
             Network.from_json(net_path)
 
+    @pytest.mark.parametrize("weights, kind", [(5, "int"), (None, "NoneType"), (["l0.bin"], "list")])
+    def test_from_json_weights_that_are_not_a_path_name_the_layer(self, tmp_path, weights, kind):
+        # a number once reached Path() and raised a bare TypeError naming no layer
+        import json
+
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps({"layers": [{"weights": weights}]}))
+        with pytest.raises(ValueError, match=f"'weights' of layer 0 of .*{net_path}.*got {kind}"):
+            Network.from_json(net_path)
+
     def test_from_json_layer_without_weights_is_value_error(self, tmp_path):
         net_path = tmp_path / "net.json"
         net_path.write_text('{"layers": [{}]}')
