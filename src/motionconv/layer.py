@@ -12,18 +12,17 @@ convolution where no usable match exists; the fallback gathers the
 receptive fields of those positions only, from the same padded plane.
 The output starts as a copy of the cached output, which is already every
 position's output outside the search's box of changed positions (a box
-of the whole grid skips the copy). Inside the box, the residual GEMM turns
-the field's tap-major columns into compensated outputs (prediction plus
-convolved residual). When every box position owns a column, as where the
-search lists most of the box, the GEMM plus the predictions is written
-straight into the box and positions with nothing kept get their pure copy
-back; otherwise the listed positions' columns are appended to the cached
-output and one column gather writes every box position from either. The
-fallback then overwrites every box position the prediction does not
-serve, demoted ones included. The
-activation, when configured, is applied after reconstruction so the next
-layer always sees true post-activation features; the cache keeps
-pre-activation values because only those decompose linearly.
+of the whole grid skips the copy). Inside the box, the residual GEMM
+turns the field's tap-major columns into the convolved residuals of the
+positions they list. When they list every box position, one column
+gather writes the predictions into the box and the GEMM's output is
+added in place; otherwise the compensated outputs are appended to the
+cached output and one column gather writes every box position from
+either. The fallback then overwrites every box position the prediction
+does not serve, demoted ones included. The activation, when configured,
+is applied after reconstruction so the next layer always sees true
+post-activation features; the cache keeps pre-activation values because
+only those decompose linearly.
 """
 
 from __future__ import annotations
@@ -234,16 +233,15 @@ class MotionCompLayer:
         as a copy of the cached output, and only the box is worked on; a box
         of the whole grid needs no copy, since every box position is written.
 
-        How the box is compensated follows from which positions own residual
-        columns (``MotionField``). When every box position owns one
-        (``whole_box``), ``W @ residual``, scaled by ``post_scale``, plus
-        every position's prediction is written straight into the box, the
-        GEMM itself into the output when the box is the whole grid; positions
-        with nothing kept get their pure prediction back. Otherwise the
-        compensated columns of the listed positions are appended to the
-        cached output and one column gather writes every box position from
-        either. Then the fallback overwrites every position the prediction
-        does not serve, unmatched and demoted ones.
+        The residual GEMM turns the field's columns into the convolved
+        residuals, scaled by ``post_scale``, of the positions
+        ``residual_at`` lists. When it lists every box position, one take
+        writes the predictions into the box and the GEMM's output is added
+        there in place. Otherwise the compensated columns are appended to
+        the cached output and one take writes every box position from
+        either, so that a position with nothing kept is a pure copy, -0.0
+        included. The fallback then overwrites every position the
+        prediction does not serve, unmatched and demoted ones.
 
         ``x`` is validated and zero-padded once, by the search margin. The
         search reads that plane against the cached one without validating
@@ -284,13 +282,12 @@ class MotionCompLayer:
         demoted = int(np.count_nonzero(field.matched & ~in_grid))
         matched = int(np.count_nonzero(served)) + out_h * out_w - served.size
 
-        # the prediction or the fallback below writes every box position, so a
-        # whole-grid box needs no copy of the cached output; a smaller one
-        # starts from one, and one whole copy beats copying only the outside,
-        # slab by slab
+        # positions outside the field's box keep the cached output; one whole
+        # copy beats copying only the outside, slab by slab. The prediction or
+        # the fallback below writes every box position, so a box of the whole
+        # grid needs no copy.
         prev = self.cache.prev_output
-        whole_grid = (box_h, box_w) == (out_h, out_w)
-        out = np.empty_like(prev) if whole_grid else prev.copy()
+        out = np.empty_like(prev) if served.shape == (out_h, out_w) else prev.copy()
         box = out[:, i0:i1, j0:j1]
         if ledger is not None:
             ledger.add_pred_bytes(4 * c_out * matched)
@@ -301,35 +298,24 @@ class MotionCompLayer:
             # overwrites those positions, demoted listed ones included.
             src = (src_i * out_w + src_j).ravel()
             source = prev.reshape(c_out, -1)
-            weights = spec.weights.reshape(c_out, -1)
+            nz = field.residual_at
             if self.compensate:
                 nnz_total = int(field.nnz[served].sum())
                 if ledger is not None:
                     ledger.charge("res", 2 * nnz_total * c_out)
-            if self.compensate and field.whole_box:
-                # every box position owns a column: the GEMM plus the
-                # prediction is the box, written straight into the output.
-                # Positions with nothing kept get their pure copy back: their
-                # zero column's product, +0.0, turns a -0.0 prediction into 0.0
-                pred = np.take(source, src, axis=1, mode="clip").reshape(box.shape)
-                if whole_grid:
-                    comp = np.matmul(weights, field.residual, out=out.reshape(c_out, -1))
-                else:
-                    comp = weights @ field.residual
+                comp = spec.weights.reshape(c_out, -1) @ field.residual
                 if self.post_scale is not None:
                     comp *= self.post_scale[:, None]
-                np.add(comp.reshape(box.shape), pred, out=box)
-                zi, zj = np.nonzero(field.nnz == 0)
-                box[:, zi, zj] = pred[:, zi, zj]
+            if self.compensate and nz.size == served.size:
+                # every box position is listed: the prediction taken into the
+                # box plus the compensation, column n at box position n
+                np.take(source, src.reshape(box_h, box_w), axis=1, out=box, mode="clip")
+                box += comp.reshape(box.shape)
             else:
                 # One take writes every box position from the cached output,
-                # or from the compensated columns appended to it for positions
-                # listed in residual_at.
+                # or from the compensated columns appended to it for the
+                # positions listed in residual_at.
                 if self.compensate:
-                    nz = field.residual_at
-                    comp = weights @ field.residual
-                    if self.post_scale is not None:
-                        comp *= self.post_scale[:, None]
                     comp += np.take(source, src[nz], axis=1, mode="clip")
                     source = np.concatenate([source, comp], axis=1)
                     src[nz] = out_h * out_w + np.arange(nz.size)

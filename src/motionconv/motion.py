@@ -24,20 +24,20 @@ search reads both frames as planes zero-padded once by the search margin
 (``search_margin``), and every later gather reads those two planes:
 ``search`` validates and pads its two frames, and ``search_planes``,
 which the layer calls on planes it has already validated and padded, does
-the rest. The near-tie check gathers the blocks of its near positions
-only, and the builder turns the winners, their kept counts and match
-flags into a ``MotionField``. It thresholds block differences (a
-multiply by the keep mask, no select) into one compact residual, a
-tap-major column per position that owns one, the layout the layer's GEMM
-takes as it is. Where the matched positions with a nonzero kept count
-fill less than ``_WHOLE_BOX_SHARE`` of the box, only they own columns,
-and both planes are gathered at their blocks only, a cache-sized block of
-channels at a time. Where they fill at least that share, every box
-position owns a column and the current blocks are copied from k^2
-strided slices of the current plane rather than gathered; where most
-positions share one vector, their residual entries are pixels of one
-thresholded difference of the two planes. Matches whose residual stays
-too dense are handed back to the dense fallback path.
+the rest. Neither frame is gathered whole: the near-tie check gathers
+the blocks of its near positions only, and the builder turns the
+winners, their kept counts and match flags into a ``MotionField`` by
+reading both planes only at the blocks the residual GEMM reads, matched
+positions with a nonzero kept count. It thresholds their differences (a
+multiply by the keep mask, no select) into one compact residual: a
+tap-major column per listed position, the layout the layer's GEMM takes
+as it is. It works a cache-sized block of channels at a time, putting
+the current blocks straight into the residual's rows and gathering the
+reference blocks into one reused buffer. The current blocks are gathered
+too, unless every box position is listed: then they are the k^2 strided
+slices of the current plane over the box, copied without an index.
+Matches whose residual stays too dense are handed back to the dense
+fallback path.
 """
 
 from __future__ import annotations
@@ -104,22 +104,15 @@ class MotionField:
     vector (0, 0) and kept count 0 and is matched, a pure copy of the
     reference output. A full-grid field has origin (0, 0) and grid-shaped
     arrays. ``mv_dy``/``mv_dx``/``nnz`` hold the winning candidate for every
-    box position, including unmatched ones.
-
-    ``residual_at`` lists, as sorted raster indices of the box, the
-    positions that own a residual column. Every matched position with
-    ``nnz > 0`` owns one, and only their residuals reach the output. Where
-    they fill at least ``_WHOLE_BOX_SHARE`` of the box, every box position
-    owns one (``whole_box``; ``residual_at`` counts 0 to the box size);
-    otherwise no other position does. ``residual`` is ``(block_size,
+    box position, including unmatched ones. ``residual_at`` lists, as sorted
+    raster indices of the box, the matched positions with ``nnz > 0``: the
+    only positions with a nonzero residual (every box position, in raster
+    order, when they fill the box). ``residual`` is ``(block_size,
     len(residual_at))`` float32 in the tap-major ``unfold_blocks(...,
     at=)`` layout, rows in (channel, dy, dx) order, filled by the builder
     a block of channels at a time: column n is the thresholded difference
-    of position ``residual_at[n]`` against its reference block at its
-    vector, zero for entries below the threshold. So the column of a
-    position with ``nnz == 0`` is zero (entries may read -0.0), and the
-    column of an unmatched position is the residual the fallback replaces.
-    A position that owns no column has no residual that reaches the output.
+    of position ``residual_at[n]``, zero for entries below the threshold.
+    Every other position's residual is zero and is not stored.
     ``positions`` counts the whole grid and ``alpha`` is its matched
     fraction, positions outside the box included.
     """
@@ -138,11 +131,6 @@ class MotionField:
     @property
     def positions(self) -> int:
         return self.out_h * self.out_w
-
-    @property
-    def whole_box(self) -> bool:
-        """True when every box position owns a residual column."""
-        return self.residual_at.size == self.matched.size
 
     @property
     def alpha(self) -> float:
@@ -182,37 +170,15 @@ def _block_sad(diff: np.ndarray) -> np.ndarray:
 # block stays in cache from its gathers through the thresholding.
 _GATHER_BLOCK_BYTES = 128 * 1024
 
-# A box whose listed positions (matched, with kept entries) fill at least this
-# share of it is built whole: every box position owns a residual column, and
-# the layer compensates the box in one pass. Sparser boxes list only those
-# positions. 0.9 keeps apart the workloads measured: the pan's boxes list
-# 97-100% of their positions, the moving block's at most 76%, which read
-# slower built whole.
-_WHOLE_BOX_SHARE = 0.9
-# In a whole box, a vector that at least this share of the positions won is
-# taken as one difference of the two planes (the pan's first layer: 94-100%;
-# deeper layers: under 20%).
-_SHARED_VECTOR_SHARE = 0.75
-
 
 def _tap_views(plane: np.ndarray, k: int, s: int, y: int, x: int, h: int, w: int) -> np.ndarray:
     """``(C, k, k, h, w)`` view of ``plane``: element [c, dy, dx, i, j] is
     tap (dy, dx) of channel c of the stride-``s`` k x k window at grid
-    position (y + i, x + j), the tap-major residual layout of an
-    ``h x w`` box in raster order."""
+    position (y + i, x + j), the tap-major residual layout of an ``h x w``
+    box in raster order."""
     win = np.lib.stride_tricks.sliding_window_view(plane, (k, k), axis=(1, 2))
     win = win[:, y * s : (y + h - 1) * s + 1 : s, x * s : (x + w - 1) * s + 1 : s]
     return win.transpose(0, 3, 4, 1, 2)
-
-
-def _threshold(diff: np.ndarray, tau: float, mag=None, keep=None) -> None:
-    """Multiply ``diff`` in place by its keep mask, with ``mag`` and
-    ``keep`` as optional scratch of its shape. At tau 0 the mask is
-    "difference != 0", which would return every entry as it is, -0.0
-    included, so nothing is done."""
-    if tau > 0:
-        mag = np.abs(diff, out=mag)
-        np.multiply(diff, _kept(mag, tau, out=keep), out=diff)
 
 
 def _build_field(
@@ -238,90 +204,59 @@ def _build_field(
     and box position (i, j) sits at grid position (i + e, j + e); each
     reference block is read at the position's vector, at most e steps long.
 
-    The residual's columns are the current blocks minus the reference
-    blocks, times the keep mask (``_threshold``; masked entries of negative
-    differences read -0.0, which equals 0). Which positions own a column is
-    the contract ``MotionField`` states, and how the columns are built
-    follows from it:
-
-    - Where the matched positions with ``nnz > 0`` fill less than
-      ``_WHOLE_BOX_SHARE`` of the box, only they own one. Each plane is
-      gathered at their blocks through one ``block_index``, a cache-sized
-      block of channels at a time (``_GATHER_BLOCK_BYTES``): the current
-      block straight into the residual's rows, the reference block into one
-      reused buffer, then the subtraction and thresholding on that block.
-    - Otherwise every box position owns one. Where at least
-      ``_SHARED_VECTOR_SHARE`` of the box won one vector, every entry of
-      their residuals is a pixel of one difference of the two planes at
-      that vector: it is taken and thresholded once per pixel, and the
-      columns are copied from its k^2 strided slices (``_tap_views``), k^2
-      times fewer subtractions and thresholds than per block. The other
-      positions' columns overwrite theirs: current blocks indexed from the
-      current plane's slices, reference blocks gathered.
-    - In a whole box whose vectors spread, the current blocks are copied
-      from k^2 strided slices of the current plane into the residual's rows
-      and the reference blocks gathered, in channel blocks as above. A
-      strided copy reads no index and costs about a third of a gather;
-      subtracting the strided slices directly is slower than copying them.
+    Both planes are read only at matched positions with ``nnz > 0``; the
+    current blocks minus the reference blocks, times the keep mask, are the
+    residual's columns (masked entries of negative differences read -0.0,
+    which equals 0). At tau 0 the keep mask is "difference != 0", so the
+    multiply would return every entry as it is, -0.0 included, and is
+    skipped. The residual is built a block of channels at a time
+    (``_GATHER_BLOCK_BYTES``): the current block goes straight into the
+    residual's rows, the reference block into one reused buffer, and the
+    subtraction and thresholding run on them while they are in cache. The
+    reference blocks are gathered through one ``block_index``. So are the
+    current blocks, unless every box position is listed: then the columns
+    are the box's, in raster order, and the current blocks are copied from
+    the k^2 strided slices of the current plane (``_tap_views``), which
+    reads no index and costs about a third of a gather.
     """
-    box_h, box_w = matched.shape
-    listed = matched & (nnz > 0)
-    whole = matched.size > 0 and np.count_nonzero(listed) >= _WHOLE_BOX_SHARE * matched.size
-    need = np.arange(matched.size) if whole else np.flatnonzero(listed)
+    need = np.flatnonzero(matched & (nnz > 0))
     k, s = spec.kernel_size, spec.stride
     c, taps, n = spec.in_channels, k * k, need.size
-    shared = False
-    if whole:
-        # the vector most box positions won, in grid steps from the plane's
-        # corner, and the positions that won another
-        code = ((steps_y + e) * (2 * e + 1) + steps_x + e).ravel()
-        top = int(np.bincount(code).argmax())
-        odd = np.flatnonzero(code != top)
-        shared = n - odd.size >= _SHARED_VECTOR_SHARE * n
-    # the positions whose blocks are read one by one
-    at = odd if shared else need
-    i, j = np.divmod(at, box_w)
-    # block_index checks the positions, so "clip" never clips; it lets take
-    # write to its out unbuffered
-    ref_index = block_index(ref_pad.shape, k, s, (i + e + steps_y.ravel()[at],
-                                                  j + e + steps_x.ravel()[at]))
-    ref_flat = ref_pad.reshape(c, -1)
-    cur_taps = _tap_views(cur_pad, k, s, e, e, box_h, box_w) if whole else None
-    res = np.empty((c, taps, n), np.float32)
-    if shared:
-        ty, tx = divmod(top, 2 * e + 1)
-        hh, ww = (box_h - 1) * s + k, (box_w - 1) * s + k
-        diff = np.subtract(cur_pad[:, e * s : e * s + hh, e * s : e * s + ww],
-                           ref_pad[:, ty * s : ty * s + hh, tx * s : tx * s + ww])
-        _threshold(diff, tau)
-        np.copyto(res.reshape(c, k, k, box_h, box_w), _tap_views(diff, k, s, 0, 0, box_h, box_w))
-        if at.size:
-            cols = cur_taps[..., i, j].reshape(c, taps, -1)
-            cols -= np.take(ref_flat, ref_index, axis=1, mode="clip")
-            _threshold(cols, tau)
-            res[..., at] = cols
+    box_h, box_w = matched.shape
+    sliced = 0 < n == matched.size
+    i, j = np.divmod(need, box_w)
+    if sliced:
+        cur_taps = _tap_views(cur_pad, k, s, e, e, box_h, box_w)
     else:
-        cur_index = None if whole else block_index(cur_pad.shape, k, s, (i + e, j + e))
-        step = max(1, _GATHER_BLOCK_BYTES // (4 * taps * max(n, 1)))
-        buf = np.empty((min(step, c), taps, n), np.float32)
-        keep = np.empty(buf.shape, bool)
-        for c0 in range(0, c, step):
-            c1 = min(c, c0 + step)
-            diff, ref = res[c0:c1], buf[: c1 - c0]
-            if whole:
-                np.copyto(diff.reshape(c1 - c0, k, k, box_h, box_w), cur_taps[c0:c1])
-            else:
-                np.take(cur_pad.reshape(c, -1)[c0:c1], cur_index, axis=1, mode="clip", out=diff)
-            np.take(ref_flat[c0:c1], ref_index, axis=1, mode="clip", out=ref)
-            np.subtract(diff, ref, out=diff)
-            _threshold(diff, tau, ref, keep[: c1 - c0])
+        cur_index = block_index(cur_pad.shape, k, s, (i + e, j + e))
+    ref_index = block_index(ref_pad.shape, k, s, (i + e + steps_y.ravel()[need],
+                                                  j + e + steps_x.ravel()[need]))
+    res = np.empty((c, taps, n), np.float32)
+    cur_flat, ref_flat = cur_pad.reshape(c, -1), ref_pad.reshape(c, -1)
+    step = max(1, _GATHER_BLOCK_BYTES // (4 * taps * max(n, 1)))
+    buf = np.empty((min(step, c), taps, n), np.float32)
+    keep = np.empty(buf.shape, bool) if tau > 0 else None
+    for c0 in range(0, c, step):
+        c1 = min(c, c0 + step)
+        diff, ref = res[c0:c1], buf[: c1 - c0]
+        # block_index checks the positions, so "clip" never clips; it lets
+        # take write to its out unbuffered
+        if sliced:
+            np.copyto(diff.reshape(c1 - c0, k, k, box_h, box_w), cur_taps[c0:c1])
+        else:
+            np.take(cur_flat[c0:c1], cur_index, axis=1, mode="clip", out=diff)
+        np.take(ref_flat[c0:c1], ref_index, axis=1, mode="clip", out=ref)
+        np.subtract(diff, ref, out=diff)
+        if tau > 0:
+            np.abs(diff, out=ref)
+            np.multiply(diff, _kept(ref, tau, out=keep[: c1 - c0]), out=diff)
     return MotionField(
         out_h=out_h,
         out_w=out_w,
         block_size=spec.block_size,
         matched=matched,
-        mv_dy=steps_y * s,
-        mv_dx=steps_x * s,
+        mv_dy=steps_y * spec.stride,
+        mv_dx=steps_x * spec.stride,
         nnz=nnz,
         residual=res.reshape(c * taps, n),
         residual_at=need,

@@ -8,8 +8,7 @@ receptive field at a time, as the pipeline once did; ``loop_forward_nonkey``
 composes them into a position-by-position non-key layer forward, and
 ``oracle_field`` into the ``MotionField`` of chosen vectors, which tests
 hand to a layer in place of its own search. ``full_grid`` spreads a
-search's box-shaped field over the whole output grid, ``column_owners``
-names the positions a field's residual columns belong to, and
+search's box-shaped field over the whole output grid, and
 ``dense_residual`` expands a field's compact residual columns into one row
 per position, the form the per-position references compare with.
 
@@ -25,7 +24,6 @@ import numpy as np
 
 from motionconv.bayer import PATTERNS, ROLE_NAMES, BayerFrame
 from motionconv.ledger import FlopsLedger
-from motionconv import motion
 from motionconv.motion import MotionField
 from motionconv.synth import SceneSpec
 from motionconv.tensors import ConvSpec, ensure_feature_map
@@ -301,14 +299,13 @@ def loop_forward_nonkey(layer_spec, ref_input, ref_output, x, mv_dy, mv_dx, matc
     return out
 
 
-def oracle_field(cur, ref, spec, mv_dy, mv_dx, matched, tau, whole=False) -> MotionField:
+def oracle_field(cur, ref, spec, mv_dy, mv_dx, matched, tau) -> MotionField:
     """``MotionField`` of chosen vectors (input pixels, stride multiples of
     any length) and match flags, one position at a time. Every position
     gets the kept count of ``threshold_residual`` between its block and
     the reference block at its vector, read as zeros past the frame; the
-    matched positions with kept entries, or with ``whole`` every position,
-    get their thresholded blocks as tap-major residual columns, in raster
-    order."""
+    matched positions with kept entries get their thresholded blocks as
+    tap-major residual columns, in raster order."""
     out_h, out_w = spec.out_shape(cur.shape[1], cur.shape[2])
     k, s, p = spec.kernel_size, spec.stride, spec.padding
     mv_dy = np.asarray(mv_dy, dtype=np.int32)
@@ -322,7 +319,7 @@ def oracle_field(cur, ref, spec, mv_dy, mv_dx, matched, tau, whole=False) -> Mot
             blk = threshold_residual(extract_block(cur, spec, i, j), ref_blk, tau, anchor=(i, j))
             nnz[i, j] = blk.nnz
             rows[i * out_w + j] = blk.densify(spec.in_channels, k).ravel()
-    at = np.arange(out_h * out_w) if whole else np.flatnonzero(matched & (nnz > 0))
+    at = np.flatnonzero(matched & (nnz > 0))
     return MotionField(
         out_h=out_h, out_w=out_w, block_size=spec.block_size, matched=matched,
         mv_dy=mv_dy, mv_dx=mv_dx, nnz=nnz, residual=np.ascontiguousarray(rows[at].T),
@@ -353,28 +350,12 @@ def full_grid(field) -> MotionField:
     )
 
 
-def column_owners(field, listed) -> np.ndarray:
-    """Whole-grid raster indices of the positions that own a residual column
-    under the ``MotionField`` contract, for a search's box-shaped ``field``
-    and the whole-grid mask ``listed`` of matched positions with kept
-    entries: every box position when the listed ones fill at least
-    ``_WHOLE_BOX_SHARE`` of the box, otherwise the listed ones."""
-    i0, j0 = field.origin
-    box_h, box_w = field.matched.shape
-    box = np.zeros(listed.shape, bool)
-    box[i0 : i0 + box_h, j0 : j0 + box_w] = True
-    whole = np.count_nonzero(listed) >= motion._WHOLE_BOX_SHARE * box_h * box_w
-    return np.flatnonzero(box if whole else listed)
-
-
 def dense_residual(field) -> np.ndarray:
     """``(positions, block_size)`` residual rows of a full-grid
-    ``MotionField`` as they reach the output: each column at the raster
-    index ``residual_at`` lists for it, except at unmatched positions,
-    which the fallback serves; zero rows everywhere else."""
+    ``MotionField``: each of its columns at the raster index
+    ``residual_at`` lists for it, zero rows everywhere else."""
     rows = np.zeros((field.positions, field.block_size), dtype=np.float32)
     rows[field.residual_at] = field.residual.T
-    rows[~field.matched.ravel()] = 0
     return rows
 
 

@@ -39,7 +39,7 @@ from motionconv.synth import SceneSpec, generate, random_conv_spec
 from motionconv.tensors import ConvSpec
 
 from oracles import (
-    column_owners, dense_residual, extract_block, full_grid, loop_forward_nonkey, loop_search, oracle_field,
+    dense_residual, extract_block, full_grid, loop_forward_nonkey, loop_search, oracle_field,
     read_block_at,
 )
 
@@ -112,19 +112,17 @@ def mirror_stack(seed):
 
 def search_as_loop(cur, ref, spec, params):
     """Run ``search`` and ``loop_search``, check that vectors, match flags,
-    kept counts, residual columns and the positions that own them
-    (``column_owners``), and me FLOPs agree, and return the full-grid field,
-    its me FLOPs and the oracle's blocks."""
+    kept counts, residual columns and their positions, and me FLOPs agree,
+    and return the field, its me FLOPs and the oracle's blocks."""
     led, loop_led = FlopsLedger(), FlopsLedger()
-    box = search(cur, ref, spec, params, led)
-    field = full_grid(box)
+    field = full_grid(search(cur, ref, spec, params, led))
     mv_dy, mv_dx, matched, blocks = loop_search(cur, ref, spec, params, loop_led)
     np.testing.assert_array_equal(field.mv_dy, mv_dy)
     np.testing.assert_array_equal(field.mv_dx, mv_dx)
     np.testing.assert_array_equal(field.matched, matched)
     nnz = np.array([[blk.nnz for blk in row] for row in blocks]).reshape(matched.shape)
     np.testing.assert_array_equal(field.nnz, nnz)
-    at = column_owners(box, matched & (nnz > 0))
+    at = np.flatnonzero(matched & (nnz > 0))
     np.testing.assert_array_equal(field.residual_at, at)
     want = np.zeros((spec.block_size, at.size), np.float32)
     for n, (i, j) in enumerate(zip(*np.divmod(at, field.out_w))):
@@ -234,16 +232,15 @@ def test_search_on_a_small_active_box(corner, stride, padding):
     assert me_flops < 2 * 2 * spec.block_size * field.positions
 
 
-def test_listed_box_gathers_only_rows_the_gemm_reads(monkeypatch):
+def test_nonkey_path_gathers_only_rows_the_gemm_reads(monkeypatch):
     # A static textured frame with one 6x6 block moving one pixel: with early
     # stopping on, the background retires after candidate (0, 0) with empty
-    # residuals. In a box built from its listed positions (forced here: the
-    # moving block lists most of its box), only matched rows with kept
-    # entries may be gathered, once from each frame, through one block index
-    # each. Near-ties would add indices of their own (one over their current
-    # rows, one over their reference rows at every candidate); uniform random
-    # texture gives none, so the builder's two indices are the only ones.
-    monkeypatch.setattr(motion, "_WHOLE_BOX_SHARE", np.inf)
+    # residuals. In a box where not every position is listed, only matched
+    # rows with kept entries may be gathered, once from each frame, through
+    # one block index each. Near-ties would add indices of their own (one
+    # over their current rows, one over their reference rows at every
+    # candidate); uniform random texture gives none, so the builder's two
+    # indices are the only ones.
     rng = np.random.default_rng(21)
     c, h, w = 3, 32, 32
     ref = rng.random((c, h, w)).astype(np.float32)
@@ -251,9 +248,10 @@ def test_listed_box_gathers_only_rows_the_gemm_reads(monkeypatch):
     cur[:, 10:16, 11:17] = ref[:, 10:16, 10:16]
     spec = ConvSpec(weights=rng.uniform(-0.5, 0.5, (4, c, 3, 3)).astype(np.float32), padding=1)
     params = MotionParams(search_range=1, threshold=0.01, early_stop_density=0.3)
-    field = full_grid(search(cur, ref, spec, params, None))
+    box = search(cur, ref, spec, params, None)
+    field = full_grid(box)
     needed = int(np.count_nonzero(field.matched & (field.nnz > 0)))
-    assert 0 < needed < field.positions // 10
+    assert 0 < needed < min(field.positions // 10, box.matched.size)
 
     gathered = []
     real = tensors.block_index
@@ -285,8 +283,8 @@ def test_each_frame_is_padded_once(seed, monkeypatch):
     # its own plane, as the dense baseline does), so the first non-key frame
     # after it pads that too.
     cur, ref, spec, params = mirror_stack(seed)
-    pads, near_ties, fallbacks = [], [], []
-    real_pad, real_gather = tensors.zero_pad, tensors.unfold_blocks
+    pads, gathers, fallbacks = [], [], []
+    real_pad, real_index, real_gather = tensors.zero_pad, tensors.block_index, tensors.unfold_blocks
 
     def counting_pad(owner):
         def pad(x, width):
@@ -294,19 +292,24 @@ def test_each_frame_is_padded_once(seed, monkeypatch):
             return real_pad(x, width)
         return pad
 
-    def counting(calls):
-        def gather(*args, **kwargs):
-            calls.append(1)
-            return real_gather(*args, **kwargs)
-        return gather
+    def counting_index(*args, **kwargs):
+        gathers.append(1)
+        return real_index(*args, **kwargs)
+
+    def counting_fallback(*args, **kwargs):
+        fallbacks.append(1)
+        return real_gather(*args, **kwargs)
 
     for owner in (motion, tensors, layer_mod):
         monkeypatch.setattr(owner, "zero_pad", counting_pad(owner))
-    # the near-tie check gathers through unfold_blocks, the fallback too
-    monkeypatch.setattr(motion, "unfold_blocks", counting(near_ties))
-    monkeypatch.setattr(layer_mod, "unfold_blocks", counting(fallbacks))
+    # the builder builds its two indices itself, the near-tie gathers inside
+    # unfold_blocks
+    for owner in (motion, tensors):
+        monkeypatch.setattr(owner, "block_index", counting_index)
+    monkeypatch.setattr(layer_mod, "unfold_blocks", counting_fallback)
     search(cur, ref, spec, params, None)
-    assert near_ties
+    # two builder index builds; more means near ties ran
+    assert len(gathers) > 2
     margin = spec.padding + params.search_range * spec.stride
     assert pads == [("motion", margin)] * 2
 
@@ -507,14 +510,11 @@ def box_scenes(draw, scene):
     step over a static frame; ``"edge"``, one pixel in the first or last
     row (or column) of some output position's receptive field; ``"border"``,
     pixels in the k rows or columns at one edge of the region the windows
-    read; ``"none"``; or ``"everywhere"``, every pixel. The weights lie on
-    a 1/16 grid and the frames on a 1/256 grid, so every sum of a GEMM is
-    exact in float32 whatever order BLAS adds in, and outputs of GEMMs over
-    different sets of columns compare bit for bit."""
+    read; ``"none"``; or ``"everywhere"``, every pixel."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     c, s, p = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2])), draw(st.integers(0, 1))
     h, w = draw(st.integers(7, 12)), draw(st.integers(7, 12))
-    spec = ConvSpec(weights=(rng.integers(-8, 9, (2, c, 3, 3)) / 16).astype(np.float32), stride=s,
+    spec = ConvSpec(weights=rng.uniform(-0.5, 0.5, (2, c, 3, 3)).astype(np.float32), stride=s,
                     padding=p, bias=rng.uniform(-0.2, 0.2, 2).astype(np.float32))
     params = MotionParams(
         search_range=draw(st.integers(0, 2)),
@@ -592,11 +592,8 @@ def test_search_box_matches_loop_and_whole_grid(scene, data):
         whole = search(cur, ref, spec, params, whole_led)
     assert whole.origin == (0, 0) and whole.matched.shape == (whole.out_h, whole.out_w)
     grid = full_grid(field)
-    for name in ("matched", "mv_dy", "mv_dx", "nnz"):
+    for name in ("matched", "mv_dy", "mv_dx", "nnz", "residual", "residual_at"):
         np.testing.assert_array_equal(getattr(grid, name), getattr(whole, name), err_msg=name)
-    # the box and the whole grid may list their columns differently (a box
-    # of listed positions is built whole); the residuals they hand on agree
-    np.testing.assert_array_equal(dense_residual(grid), dense_residual(whole))
     assert field.alpha == whole.alpha
     assert led.me_flops == whole_led.me_flops
 
@@ -716,130 +713,130 @@ def test_residual_built_in_channel_blocks(tau, channels_per_block, monkeypatch):
     assert neg_zero
 
 
-# The builder's three ways to build a residual, each forced by its constants:
-# every box from its listed positions; every nonempty box whole, from one
-# plane difference at the vector most of its positions won; every nonempty
-# box whole, in channel blocks. (A box every position of which is listed is
-# whole whichever way it is built, since both forms coincide.)
-SIDES = {
-    "listed": {"_WHOLE_BOX_SHARE": np.inf},
-    "shared": {"_WHOLE_BOX_SHARE": 0.0, "_SHARED_VECTOR_SHARE": 0.0},
-    "spread": {"_WHOLE_BOX_SHARE": 0.0, "_SHARED_VECTOR_SHARE": np.inf},
-}
+def builder_takes(planes, monkeypatch):
+    """Record, for every ``np.take`` that the field builder makes on one of
+    ``planes``, its name and the number of blocks taken (the index's last
+    axis)."""
+    read, building = [], []
+    real_take, real_build = np.take, motion._build_field
+
+    def take(a, indices, *args, **kwargs):
+        if building:
+            read.extend((name, np.shape(indices)[-1]) for name, plane in planes.items()
+                        if np.shares_memory(a, plane))
+        return real_take(a, indices, *args, **kwargs)
+
+    def build(*args):
+        building.append(1)
+        try:
+            return real_build(*args)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(np, "take", take)
+    monkeypatch.setattr(motion, "_build_field", build)
+    return read
 
 
-def sides_as_loop(spec, params, cur, ref, layer_kwargs, field=None, negative_zero=None):
-    """Run ``forward_nonkey`` after a key frame on ``ref`` with each of
-    ``SIDES`` forced. ``field(whole)``, when given, is the chosen-vector
-    field that stands in for the search; ``negative_zero`` masks the grid
-    positions whose cached output is set to -0.0 first, as a pre-activation
-    that underflows under ``post_scale`` leaves it. Checks that each side
-    took its path, that all sides agree bit for bit (outputs, cached
-    outputs, ledgers, stats), and that each matches ``loop_forward_nonkey``
-    on the same vectors, with res and unmatched FLOPs equal; returns the
-    last side's cached output and field."""
-    runs = {}
-    for side, constants in SIDES.items():
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("search_range", [0, 1])
+@pytest.mark.parametrize("tau", [0.0, 0.01])
+def test_fully_listed_box_takes_nothing_from_the_current_plane(stride, search_range, tau,
+                                                               monkeypatch):
+    # a frame panned by a pixel and changed everywhere, so every position is
+    # listed: the builder copies the current blocks from strided slices of
+    # the current plane and takes only the reference blocks, each once. The
+    # field is the candidate loop's, bit for bit.
+    rng = np.random.default_rng(12)
+    spec = ConvSpec(weights=rng.uniform(-0.5, 0.5, (4, 3, 3, 3)).astype(np.float32),
+                    stride=stride, padding=1)
+    params = MotionParams(search_range=search_range, threshold=tau, match_max_density=1.0)
+    ref = rng.random((3, 16, 16)).astype(np.float32)
+    cur = (np.roll(ref, 1, axis=2) + rng.uniform(0.02, 0.04, ref.shape)).astype(np.float32)
+    margin = motion.search_margin(spec, params)
+    cur_pad, ref_pad = tensors.zero_pad(cur, margin), tensors.zero_pad(ref, margin)
+    read = builder_takes({"current": cur_pad, "reference": ref_pad}, monkeypatch)
+    field = motion.search_planes(cur_pad, ref_pad, spec, params, None)
+    assert field.residual_at.size == field.matched.size == field.positions
+    assert read == [("reference", field.positions)]
+    monkeypatch.undo()
+    search_as_loop(cur, ref, spec, params)
+
+
+def listed_patch(stride, tau, rng):
+    """A layer and two frames that differ by small offsets on a patch, so
+    that the search's box lists every position it holds, while most of the
+    grid is unchanged."""
+    c = 2
+    spec = ConvSpec(weights=rng.uniform(-0.5, 0.5, (3, c, 3, 3)).astype(np.float32),
+                    bias=rng.uniform(-0.2, 0.2, 3).astype(np.float32), stride=stride, padding=1)
+    params = MotionParams(search_range=1, threshold=tau, match_max_density=1.0)
+    ref = rng.random((c, 20, 20)).astype(np.float32)
+    cur = ref.copy()
+    cur[:, 6:12, 5:10] += rng.uniform(0.05, 0.1, (c, 6, 5)).astype(np.float32)
+    return cur, ref, spec, params
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("tau", [0.0, 4 / 256])
+@pytest.mark.parametrize("compensate", [True, False])
+@pytest.mark.parametrize("affine", [True, False])
+def test_fully_listed_box_matches_the_listed_whole_grid(stride, tau, compensate, affine):
+    # The box lists every position it holds: its residual is cut from
+    # strided slices and its convolved residual added over the whole box.
+    # The whole-grid search lists the same positions among unlisted ones: it
+    # gathers their blocks and adds at their positions. Both hand the GEMM
+    # the same columns, so outputs agree bit for bit (through a uint32 view,
+    # which tells -0.0 from 0.0), ledgers and stats too, and both match the
+    # per-position reference.
+    rng = np.random.default_rng(31 + stride)
+    cur, ref, spec, params = listed_patch(stride, tau, rng)
+    kwargs = {"compensate": compensate, "activation": "relu"}
+    if affine:
+        kwargs.update(post_scale=rng.uniform(0.5, 1.5, 3), post_shift=rng.uniform(-0.3, 0.3, 3))
+    runs = []
+    for whole_grid in (False, True):
         fields = []
         with pytest.MonkeyPatch.context() as mp:
-            for name, value in constants.items():
-                mp.setattr(motion, name, value)
-            if field is None:
-                real = layer_mod.search
-                mp.setattr(layer_mod, "search", lambda *args: fields.append(real(*args)) or fields[0])
-            else:
-                mp.setattr(layer_mod, "search", lambda *args: fields.append(field(side != "listed"))
-                           or fields[0])
-            layer = MotionCompLayer(spec, params, **layer_kwargs)
+            if whole_grid:
+                whole_grid_box(mp)
+            real = layer_mod.search
+            mp.setattr(layer_mod, "search", lambda *args: fields.append(real(*args)) or fields[0])
+            layer = MotionCompLayer(spec, params, **kwargs)
             layer.forward_key(ref, FlopsLedger())
-            if negative_zero is not None:
-                layer.cache.prev_output[:, negative_zero] = -0.0
             ref_output = layer.cache.prev_output.copy()
             led = FlopsLedger()
             out = layer.forward_nonkey(cur, led)
-        (got,) = fields
-        if side == "listed":
-            listed = np.flatnonzero(got.matched & (got.nnz > 0))
-            np.testing.assert_array_equal(got.residual_at, listed)
-        else:
-            assert got.whole_box
-        grid = full_grid(got)
-        tau = params.threshold if layer.compensate else np.inf  # pure predictions
+        (field,) = fields
+        listed = field.residual_at.size
+        assert (listed == field.matched.size) == (not whole_grid)
+        assert 0 < listed < field.positions
+        grid = full_grid(field)
         loop_led = FlopsLedger()
         want = loop_forward_nonkey(spec, ref, ref_output, cur, grid.mv_dy, grid.mv_dx, grid.matched,
-                                   tau, layer.post_scale, layer.post_shift, loop_led)
+                                   params.threshold if compensate else np.inf,
+                                   layer.post_scale, layer.post_shift, loop_led)
         np.testing.assert_allclose(layer.cache.prev_output, want, atol=1e-5, rtol=0)
         assert led.res_flops == loop_led.res_flops
         assert led.unmatched_flops == loop_led.unmatched_flops
-        runs[side] = out, layer, led, got
-    (l_out, l_layer, l_led, _) = runs["listed"]
-    for out, layer, led, got in runs.values():
-        np.testing.assert_array_equal(out.view(np.uint32), l_out.view(np.uint32))
-        np.testing.assert_array_equal(layer.cache.prev_output.view(np.uint32),
-                                      l_layer.cache.prev_output.view(np.uint32))
-        assert led.counts() == l_led.counts()
-        assert led.pred_bytes_moved == l_led.pred_bytes_moved
-        assert layer.last_stats == l_layer.last_stats
-    return layer.cache.prev_output, got
-
-
-@pytest.mark.parametrize("scene", BOX_SCENES)
-@settings(deadline=None, max_examples=25)
-@given(data=st.data(), affine=st.booleans(), compensate=st.booleans(),
-       match_max_density=st.sampled_from([0.2, 0.9]))
-def test_every_residual_build_matches_the_loop(scene, data, affine, compensate,
-                                               match_max_density):
-    # boxes smaller than the grid ("patch", "edge", "border") and equal to it
-    # ("everywhere"), with positions that keep nothing and, at the lower
-    # match density, unmatched positions inside the box; stride 1 and 2
-    cur, ref, spec, params = data.draw(box_scenes(scene))
-    params = params.updated(match_max_density=match_max_density)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    kwargs = {"compensate": compensate, "activation": "relu"}
-    if affine:
-        kwargs.update(post_scale=rng.uniform(0.5, 1.5, 2), post_shift=rng.uniform(-0.3, 0.3, 2))
-    sides_as_loop(spec, params, cur, ref, kwargs)
-
-
-@settings(deadline=None, max_examples=60)
-@given(stacks(), st.integers(1, 3), st.booleans())
-def test_whole_and_listed_chosen_fields_match_the_loop(case, reach, affine):
-    # chosen vectors up to `reach` steps past the grid edges and random match
-    # flags: the whole field lists every position, unmatched and demoted ones
-    # included, whose columns the fallback must replace. Weights on a 1/16
-    # grid make every GEMM sum exact (see box_scenes).
-    spec, params, cur, ref, rng = case
-    spec = ConvSpec(weights=np.round(spec.weights * 16) / 16, bias=spec.bias, stride=spec.stride,
-                    padding=spec.padding)
-    out_h, out_w = spec.out_shape(cur.shape[1], cur.shape[2])
-    s = spec.stride
-    steps_y = rng.integers(-out_h - reach, out_h + reach + 1, size=(out_h, out_w))
-    steps_x = rng.integers(-out_w - reach, out_w + reach + 1, size=(out_h, out_w))
-    steps_y[0, 0] = -1
-    matched = rng.random((out_h, out_w)) < 0.8
-    matched[0, 0] = True
-
-    def field(whole):
-        return oracle_field(cur, ref, spec, steps_y * s, steps_x * s, matched, params.threshold,
-                            whole=whole)
-
-    c_out = spec.out_channels
-    kwargs = {}
-    if affine:
-        kwargs = {"post_scale": rng.uniform(0.5, 1.5, c_out),
-                  "post_shift": rng.uniform(-0.3, 0.3, c_out)}
-    sides_as_loop(spec, params, cur, ref, kwargs, field=field)
+        runs.append((out, layer, led))
+    (out, layer, led), (whole_out, whole_layer, whole_led) = runs
+    np.testing.assert_array_equal(out.view(np.uint32), whole_out.view(np.uint32))
+    np.testing.assert_array_equal(layer.cache.prev_output.view(np.uint32),
+                                  whole_layer.cache.prev_output.view(np.uint32))
+    assert led.counts() == whole_led.counts()
+    assert led.pred_bytes_moved == whole_led.pred_bytes_moved
+    assert layer.last_stats == whole_layer.last_stats
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("box", ["grid", "part"])
-def test_whole_box_pure_copies_keep_negative_zero(stride, box):
+def test_pure_copies_in_a_box_keep_negative_zero(stride, box):
     # positions with nothing kept are pure copies of the cached output, -0.0
-    # included: the residual GEMM gives +0.0 for their zero columns, and a
-    # -0.0 prediction plus +0.0 reads +0.0. The scene changes a ring of
-    # pixels (the whole grid's box) or the left 12 columns (a box of part of
-    # it) and leaves a square inside them, whose positions keep vector (0, 0)
-    # with nothing kept, unchanged
+    # included: adding their zero residual (+0.0) would turn -0.0 into 0.0.
+    # The scene changes a ring of pixels (the whole grid's box) or the left
+    # 12 columns (a box of part of it) and leaves a square inside them,
+    # whose positions keep vector (0, 0) with nothing kept, unchanged
     rng = np.random.default_rng(8)
     c, h, w = 2, 16, 16
     ref = (rng.integers(0, 257, size=(c, h, w)) / 256).astype(np.float32)
@@ -847,7 +844,7 @@ def test_whole_box_pure_copies_keep_negative_zero(stride, box):
     if box == "part":
         cur[:, :, 12:] = ref[:, :, 12:]
     cur[:, 4:10, 4:10] = ref[:, 4:10, 4:10]
-    spec = ConvSpec(weights=(rng.integers(-8, 9, (3, c, 3, 3)) / 16).astype(np.float32),
+    spec = ConvSpec(weights=rng.uniform(-0.5, 0.5, (3, c, 3, 3)).astype(np.float32),
                     stride=stride, padding=1)
     params = MotionParams(search_range=1, threshold=4 / 256)
     out_h, out_w = spec.out_shape(h, w)
@@ -855,90 +852,21 @@ def test_whole_box_pure_copies_keep_negative_zero(stride, box):
     # the windows, rows and columns i s - 1 to i s + 1, inside pixels 4 to 9
     first, last = (5 + stride - 1) // stride, 8 // stride
     pure[first : last + 1, first : last + 1] = True
-    out, field = sides_as_loop(spec, params, cur, ref, {}, negative_zero=pure)
+    layer = MotionCompLayer(spec, params)
+    layer.forward_key(ref, FlopsLedger())
+    layer.cache.prev_output[:, pure] = -0.0
+    ref_output = layer.cache.prev_output.copy()
+    field = search(cur, ref, spec, params, None)
+    out = layer.forward_nonkey(cur, FlopsLedger())
     i0, j0 = field.origin
     box_h, box_w = field.matched.shape
     assert ((box_h, box_w) == (out_h, out_w)) == (box == "grid")
     inside = np.zeros((out_h, out_w), bool)
     inside[i0 : i0 + box_h, j0 : j0 + box_w] = True
     assert (pure <= inside).all()
-    assert (full_grid(field).nnz[pure] == 0).all()
+    grid = full_grid(field)
+    assert (grid.nnz[pure] == 0).all() and grid.matched[pure].all()
     assert np.signbit(out[:, pure]).all() and (out[:, pure] == 0).all()
-
-
-def takes_from(planes, monkeypatch):
-    """Record, for every ``np.take`` that reads one of ``planes``, its name
-    and the number of blocks taken (the index's last axis)."""
-    read = []
-    real = np.take
-
-    def take(a, indices, *args, **kwargs):
-        read.extend((name, np.shape(indices)[-1]) for name, plane in planes.items()
-                    if np.shares_memory(a, plane))
-        return real(a, indices, *args, **kwargs)
-
-    monkeypatch.setattr(np, "take", take)
-    return read
-
-
-@pytest.mark.parametrize("scene", ["still", "pan", "spread"])
-def test_whole_box_takes_nothing_from_the_current_plane(scene, monkeypatch):
-    # a frame changed everywhere, every position listed: the builder cuts the
-    # current blocks from the current plane by strided slices and never takes
-    # from it. Searching only (0, 0) ("still"), one vector serves the whole
-    # box, so it takes nothing at all. A one-pixel pan ("pan") shares one
-    # vector over most of the box: only the reference blocks of the positions
-    # with another vector, at the frame's edges, are taken. Unrelated frames
-    # ("spread") spread the winners over the candidates, and every reference
-    # block is taken. Uniform random texture gives no near-ties, whose
-    # gathers would take from both planes.
-    rng = np.random.default_rng(12)
-    spec = ConvSpec(weights=rng.uniform(-0.5, 0.5, (4, 3, 3, 3)).astype(np.float32), padding=1)
-    params = MotionParams(search_range=int(scene != "still"), threshold=0.01,
-                          match_max_density=1.0)
-    ref = rng.random((3, 16, 16)).astype(np.float32)
-    cur = (np.roll(ref, 1, axis=2) + rng.uniform(0.01, 0.02, ref.shape)).astype(np.float32)
-    if scene == "spread":
-        cur = rng.random(ref.shape).astype(np.float32)
-    margin = motion.search_margin(spec, params)
-    cur_pad, ref_pad = tensors.zero_pad(cur, margin), tensors.zero_pad(ref, margin)
-    read = takes_from({"current": cur_pad, "reference": ref_pad}, monkeypatch)
-    field = motion.search_planes(cur_pad, ref_pad, spec, params, None)
-    assert field.whole_box
-    code = (field.mv_dy * 3 + field.mv_dx).ravel()
-    shared = int(np.bincount(code - code.min()).max())
-    assert not [n for name, n in read if name == "current"]
-    taken = sum(n for name, n in read)
-    want = {"still": 0, "pan": field.matched.size - shared, "spread": field.matched.size}[scene]
-    assert taken == want and (scene == "still") == (shared == field.matched.size)
-    assert (shared >= motion._SHARED_VECTOR_SHARE * field.matched.size) == (scene != "spread")
-    monkeypatch.undo()
-    search_as_loop(cur, ref, spec, params)
-
-
-@pytest.mark.parametrize("vector", [(1, -1), (0, 1), (-1, 0)])
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("tau", [0.0, 4 / 256])
-def test_whole_box_slices_a_shared_vector(vector, stride, tau, monkeypatch):
-    # the builder on its own: one vector, in grid steps, for every position
-    # of a whole box. Both planes are cut by strided slices, nothing is
-    # taken, and every column is the chosen-vector reference's residual.
-    rng = np.random.default_rng(13)
-    c, h, w, r = 2, 11, 12, 1
-    spec = ConvSpec(weights=np.ones((1, c, 3, 3), np.float32), stride=stride, padding=1)
-    ref = (rng.integers(0, 257, size=(c, h, w)) / 256).astype(np.float32)
-    cur = (ref + rng.integers(-8, 9, size=ref.shape) / 256).astype(np.float32)
-    out_h, out_w = spec.out_shape(h, w)
-    steps_y, steps_x = np.full((out_h, out_w), vector[0]), np.full((out_h, out_w), vector[1])
-    matched = np.ones((out_h, out_w), bool)
-    want = oracle_field(cur, ref, spec, steps_y * stride, steps_x * stride, matched, tau,
-                        whole=True)
-    margin = spec.padding + r * stride
-    cur_pad, ref_pad = tensors.zero_pad(cur, margin), tensors.zero_pad(ref, margin)
-    read = takes_from({"current": cur_pad, "reference": ref_pad}, monkeypatch)
-    monkeypatch.setattr(motion, "_WHOLE_BOX_SHARE", 0.0)
-    field = motion._build_field(spec, cur_pad, ref_pad, r, steps_y, steps_x, tau, want.nnz,
-                                matched, out_h, out_w, (0, 0))
-    assert field.whole_box and not read
-    np.testing.assert_array_equal(field.residual_at, want.residual_at)
-    np.testing.assert_array_equal(field.residual, want.residual)
+    want = loop_forward_nonkey(spec, ref, ref_output, cur, grid.mv_dy, grid.mv_dx, grid.matched,
+                               params.threshold)
+    np.testing.assert_allclose(out, want, atol=1e-5, rtol=0)
