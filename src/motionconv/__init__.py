@@ -18,7 +18,7 @@ from .analysis import (
 from .bayer import BayerFrame, load_raw_sequence, mosaic, pack, save_raw_sequence
 from .layer import LayerCache, MotionCompLayer
 from .ledger import FlopsLedger
-from .motion import MotionField, MotionParams, search
+from .motion import MotionField, MotionParams
 from .scheduler import GopConfig, Network, RunResult, run_sequence
 from .synth import SceneSpec, generate, random_conv_spec
 from .tensors import ConvSpec, conv2d, load_weights, save_weights

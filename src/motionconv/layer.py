@@ -16,9 +16,9 @@ of the whole grid skips the copy). Inside the box, the residual GEMM
 turns the field's tap-major columns into the convolved residuals of the
 positions they list. When they list every box position, one column
 gather writes the predictions into the box and the GEMM's output is
-added in place; otherwise the compensated outputs are appended to the
-cached output and one column gather writes every box position from
-either. The fallback then overwrites every box position the prediction
+added in place; otherwise the compensated outputs, if any, are
+appended to the cached output and one column gather writes every box
+position from either. The fallback then overwrites every box position the prediction
 does not serve, demoted ones included. The activation, when configured,
 is applied after reconstruction so the next layer always sees true
 post-activation features; the cache keeps pre-activation values because
@@ -237,11 +237,11 @@ class MotionCompLayer:
         residuals, scaled by ``post_scale``, of the positions
         ``residual_at`` lists. When it lists every box position, one take
         writes the predictions into the box and the GEMM's output is added
-        there in place. Otherwise the compensated columns are appended to
-        the cached output and one take writes every box position from
-        either, so that a position with nothing kept is a pure copy, -0.0
-        included. The fallback then overwrites every position the
-        prediction does not serve, unmatched and demoted ones.
+        there in place. Otherwise the compensated columns, if any, are
+        appended to the cached output and one take writes every box
+        position from either, so that a position with nothing kept is a
+        pure copy, -0.0 included. The fallback then overwrites every
+        position the prediction does not serve, unmatched and demoted ones.
 
         ``x`` is validated and zero-padded once, by the search margin. The
         search reads that plane against the cached one without validating
@@ -314,8 +314,8 @@ class MotionCompLayer:
             else:
                 # One take writes every box position from the cached output,
                 # or from the compensated columns appended to it for the
-                # positions listed in residual_at.
-                if self.compensate:
+                # positions listed in residual_at, when it lists any.
+                if self.compensate and nz.size:
                     comp += np.take(source, src[nz], axis=1, mode="clip")
                     source = np.concatenate([source, comp], axis=1)
                     src[nz] = out_h * out_w + np.arange(nz.size)

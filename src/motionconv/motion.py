@@ -1,43 +1,10 @@
 """Sliding-window block matching on the convolution output grid.
 
-Every output position owns one block the size of the kernel's receptive
-field. Candidates are stride-aligned offsets within the search range,
-and the search scores them by SAD against the reference frame for all
-positions at once: the difference of the padded frames, its magnitude
-summed over channels and then over each block with a separable box filter
-(the window-cost aggregation of stereo block matching). The search first
-bounds the positions whose receptive field reads a pixel that differs
-between the frames, and scores only that box: every other position has
-SAD 0 and nothing kept at candidate (0, 0), which no later candidate
-beats, so it keeps vector (0, 0) with an empty residual, unscored but
-charged as the loop charges it. In the box, candidate (0, 0) is scored
-over every position and retires those whose residual is already sparse
-enough; the other candidates are scored in one batch over
-the bounding box of the positions still searching, into stacked
-(candidate, row, column) SADs and kept counts. The decisions of a
-sequential candidate loop (strict improvement, early stop, winner) are
-then replayed on the stacks with whole-array operations. Box sums add in
-another order than per-block sums, so a position with a near-tie among
-the candidates it evaluates has all its SADs recomputed as per-block sums
-and is replayed again: every decision is the one per-block sums give. The
-search reads both frames as planes zero-padded once by the search margin
-(``search_margin``), and every later gather reads those two planes:
-``search`` validates and pads its two frames, and ``search_planes``,
-which the layer calls on planes it has already validated and padded, does
-the rest. Neither frame is gathered whole: the near-tie check gathers
-the blocks of its near positions only, and the builder turns the
-winners, their kept counts and match flags into a ``MotionField`` by
-reading both planes only at the blocks the residual GEMM reads, matched
-positions with a nonzero kept count. It thresholds their differences (a
-multiply by the keep mask, no select) into one compact residual: a
-tap-major column per listed position, the layout the layer's GEMM takes
-as it is. It works a cache-sized block of channels at a time, putting
-the current blocks straight into the residual's rows and gathering the
-reference blocks into one reused buffer. The current blocks are gathered
-too, unless every box position is listed: then they are the k^2 strided
-slices of the current plane over the box, copied without an index.
-Matches whose residual stays too dense are handed back to the dense
-fallback path.
+``search_planes`` picks, for every output position, the stride-aligned
+candidate offset whose block best matches the reference frame, and hands
+the winners with their thresholded residuals to the layer as a
+``MotionField``; its docstring describes the search. ``search_margin`` is
+the zero padding of the two planes it reads.
 """
 
 from __future__ import annotations
@@ -50,9 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ledger import FlopsLedger
-from .tensors import (
-    ConvSpec, FeatureMap, block_index, ensure_feature_map, is_int, unfold_blocks, zero_pad,
-)
+from .tensors import ConvSpec, block_index, is_int, unfold_blocks
 
 
 @dataclass(frozen=True)
@@ -264,11 +229,6 @@ def _build_field(
     )
 
 
-# Box SADs within this relative gap of the best so far are re-decided on
-# gathered blocks; see ``search``.
-_NEAR_TIE = 1e-9
-
-
 def _box(plane: np.ndarray, k: int, s: int, out_h: int, out_w: int, acc) -> np.ndarray:
     """Sums over the k x k windows of ``plane``'s last two axes whose
     corners lie on the stride-``s`` grid, in dtype ``acc``: a k-tap
@@ -293,22 +253,23 @@ def _score(
     out_w: int,
     shifts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Box SADs (float64) and kept counts (int32), each ``(len(shifts),
+    """Box SADs (float32) and kept counts (int32), each ``(len(shifts),
     out_h, out_w)``, of the ``out_h x out_w`` stride-``s`` windows of
     ``cur_pad`` whose first corner is the plane pixel ``corner``, against
     the windows of ``ref_pad`` shifted by each ``(dy, dx)`` of ``shifts``
     in pixels.
 
     Per shift, the box's difference is taken, its absolute value summed
-    over channels in float64 and its kept entries counted per pixel; one
-    box filter per stack then sums each window. Where the box spans at
-    least half the plane's width, each channel's rows of the box are
-    subtracted as one contiguous run of the flattened plane, which runs
-    through the columns beside the box: per-pixel results then sit in rows
-    of the plane's width, and the box filter reads only the box's columns.
-    A narrower box is subtracted as a 3-D crop, because runs would mostly
-    read the columns beside it. Either way every element is the difference
-    of the same two pixels."""
+    over channels in float32 and its kept entries counted per pixel; one
+    box filter per stack then sums each window. A float32 difference or sum
+    of finite terms may overflow to inf, with no warning: ``search_planes``
+    re-scores such SADs. Where the box spans at least half the plane's
+    width, each channel's rows of the box are subtracted as one contiguous
+    run of the flattened plane, which runs through the columns beside the
+    box: per-pixel results then sit in rows of the plane's width, and the
+    box filter reads only the box's columns. A narrower box is subtracted
+    as a 3-D crop, because runs would mostly read the columns beside it.
+    Either way every element is the difference of the same two pixels."""
     c, _, wp = cur_pad.shape
     hh, ww = (out_h - 1) * s + k, (out_w - 1) * s + k
     if 2 * ww >= wp:
@@ -326,26 +287,28 @@ def _score(
     run = (hh - 1) * width + ww
     mag = np.empty((c, run), np.float32)
     keep = np.empty((c, run), bool)
-    sad_px = np.empty((len(shifts), hh * width))
+    sad_px = np.empty((len(shifts), hh * width), np.float32)
     # per-pixel kept counts, at most C, summed in the narrowest type that holds them
     kept_px = np.empty((len(shifts), hh * width), np.min_scalar_type(c))
-    for n, (dy, dx) in enumerate(shifts):
-        shifted = window(ref, corner[0] + int(dy), corner[1] + int(dx))
-        np.subtract(cur, shifted, out=mag.reshape(cur.shape))
-        np.abs(mag, out=mag)
-        np.sum(mag, axis=0, dtype=np.float64, out=sad_px[n, :run])
-        _kept(mag, tau, out=keep)
-        np.add.reduce(keep.view(np.uint8), axis=0, dtype=kept_px.dtype, out=kept_px[n, :run])
 
     def box(px, acc):
         return _box(px.reshape(-1, hh, width)[..., :ww], k, s, out_h, out_w, acc)
 
-    return box(sad_px, np.float64), box(kept_px, np.int32)
+    with np.errstate(over="ignore"):
+        for n, (dy, dx) in enumerate(shifts):
+            shifted = window(ref, corner[0] + int(dy), corner[1] + int(dx))
+            np.subtract(cur, shifted, out=mag.reshape(cur.shape))
+            np.abs(mag, out=mag)
+            np.sum(mag, axis=0, out=sad_px[n, :run])
+            _kept(mag, tau, out=keep)
+            np.add.reduce(keep.view(np.uint8), axis=0, dtype=kept_px.dtype, out=kept_px[n, :run])
+        sad = box(sad_px, np.float32)
+    return sad, box(kept_px, np.int32)
 
 
 def _replay(sad: np.ndarray, kept: np.ndarray, trigger: int):
     """Replay the sequential candidate loop on stacked scores, candidates
-    along axis 0 in search order: each candidate that scores strictly below
+    along axis 0 in search order and positions along the others: each candidate that scores strictly below
     the best so far improves its position, and a position retires after the
     first improving candidate (candidate 0 always improves) whose kept
     count is at or below ``trigger``. Returns the best so far after each
@@ -366,7 +329,7 @@ def _replay(sad: np.ndarray, kept: np.ndarray, trigger: int):
     live = np.ones(sad.shape, bool)
     for c in range(1, n):
         np.greater(live[c - 1], retires[c - 1], out=live[c])  # live and not retired
-    order = np.arange(n, dtype=np.min_scalar_type(n - 1))[:, None, None]
+    order = np.arange(n, dtype=np.min_scalar_type(n - 1)).reshape((n,) + (1,) * (sad.ndim - 1))
     winner = np.max((improved & live) * order, axis=0).astype(np.intp)
     return best, live, winner
 
@@ -402,84 +365,6 @@ def search_margin(spec: ConvSpec, params: MotionParams) -> int:
     return spec.padding + params.search_range * spec.stride
 
 
-def search(
-    cur_input: FeatureMap,
-    ref_input: FeatureMap,
-    spec: ConvSpec,
-    params: MotionParams,
-    ledger: FlopsLedger | None,
-) -> MotionField:
-    """Full search over stride-aligned candidates for every output position.
-
-    Validates both frames, zero-pads each once by ``search_margin`` into
-    planes no caller sees, and runs ``search_planes`` on them.
-
-    Candidates are enumerated with (0, 0) first, then raster order; each
-    evaluated SAD charges 2 k^2 C_in. The decisions are those of a
-    sequential candidate loop: a candidate whose SAD is strictly below a
-    position's best so far improves it, and with early stopping on the
-    position retires after the first improving candidate whose kept count
-    is at or below the early-stop trigger (candidate (0, 0), every
-    position's first, always improves). The winner is the minimum-SAD
-    candidate among those evaluated (ties keep the earlier candidate), and
-    a position is matched when its winner's kept count does not exceed
-    ``match_max_density`` of the block. The residual is built once, after
-    the decisions, from blocks of both frames gathered at matched positions
-    with a nonzero kept count only. Candidate reads beyond the reference
-    frame see zeros.
-
-    Only the box of positions whose candidate-(0, 0) block holds a pixel
-    that differs bitwise between the frames is scored (``_changed_box``).
-    Every other position's block is the same in both, so candidate (0, 0)
-    has SAD 0 and kept count 0 there: no later candidate improves on it (a
-    SAD is never below 0 and the test is strict), the position is matched
-    with vector (0, 0) and no residual, and its output is a copy of the
-    reference output. ``me`` still charges such a position what the loop
-    charges it: one candidate with early stopping on, since a kept count of
-    0 reaches any trigger, and every candidate with it off. The box's
-    blocks are read from contiguous crops of both planes.
-
-    No loop runs candidate by candidate through the decisions. Candidate
-    (0, 0) is scored over the whole box, and every other candidate in one
-    batch over the bounding box of the positions (0, 0) leaves searching:
-    per candidate, one float32 difference of the current plane and the
-    shifted reference plane (each element equal to the gathered difference
-    it stands for), its absolute value summed over channels in float64 and
-    its kept entries counted per pixel; then one k-tap horizontal and one
-    k-tap vertical box sum at the stride over each (candidate, row, column)
-    stack. Kept counts are box sums of integers, so they are exact. The
-    decisions are replayed on the stacks (``_replay``): the running minimum
-    along the candidate axis is each position's best so far, the first
-    improving candidate whose kept count reaches the trigger ends the
-    prefix of candidates a position evaluates, and the winner is the last
-    improving candidate of that prefix. ``me`` is charged once, for every
-    evaluated (position, candidate) pair of the whole grid.
-
-    The box sums add the block's n = k^2 C_in non-negative terms in another
-    order than a per-block sum (``_block_sad``). Any order of
-    adding them lies within about (n - 1) * 2^-53 of the exact sum,
-    relatively, and gives 0 exactly when every term is 0. Two sums whose
-    per-block order and box order disagree therefore lie within about
-    4 (n - 1) * 2^-53 of each other, under ``_NEAR_TIE`` for any block of
-    fewer than two million elements. So where an evaluated candidate's box
-    SAD is nonzero and within ``_NEAR_TIE`` of the best so far, relatively,
-    the SADs of every candidate of that position, (0, 0) included, are
-    recomputed as per-block sums, on current and reference blocks gathered
-    from the two planes for those positions only, and the position's
-    decisions are replayed on them. Elsewhere no comparison is that close,
-    so the box sums order it as the per-block sums do. Every comparison,
-    and so every winner, early stop and ledger charge, is the one the
-    per-block sums give.
-    """
-    cur = ensure_feature_map(cur_input, channels=spec.in_channels, name="current input")
-    ref = ensure_feature_map(ref_input, channels=spec.in_channels, name="reference input")
-    if cur.shape != ref.shape:
-        raise ValueError(f"current/reference shapes differ: {cur.shape} vs {ref.shape}")
-    spec.out_shape(cur.shape[1], cur.shape[2])  # raises when the output grid is empty
-    margin = search_margin(spec, params)
-    return search_planes(zero_pad(cur, margin), zero_pad(ref, margin), spec, params, ledger)
-
-
 def search_planes(
     cur_pad: np.ndarray,
     ref_pad: np.ndarray,
@@ -487,13 +372,71 @@ def search_planes(
     params: MotionParams,
     ledger: FlopsLedger | None,
 ) -> MotionField:
-    """``search`` on two validated frames of one shape, each zero-padded by
-    ``search_margin(spec, params)``: the changed box, the batch scoring,
-    the replay and the field builder ``search`` describes, with no
-    validation or padding of their own. Output position (i, j) sits at grid
+    """Full search over stride-aligned candidates for every output position
+    of two frames of one shape, each validated and zero-padded by
+    ``search_margin(spec, params)``. Output position (i, j) sits at grid
     position (i + r, j + r) of either plane, r the search range. The planes
-    are read, never written. The field's arrays cover the changed box, at
-    ``MotionField.origin``.
+    are read, never written, and are neither validated nor padded again:
+    every gather reads them.
+
+    Candidates are enumerated with (0, 0) first, then raster order; each
+    evaluated SAD charges 2 k^2 C_in to ``me``. The decisions are those of
+    a sequential candidate loop on per-block SADs: a candidate whose SAD is
+    strictly below a position's best so far improves it, and with early
+    stopping on the position retires after the first improving candidate
+    whose kept count is at or below the early-stop trigger (candidate
+    (0, 0), every position's first, always improves). The winner is the
+    minimum-SAD candidate among those evaluated (ties keep the earlier
+    candidate), and a position is matched when its winner's kept count
+    does not exceed ``match_max_density`` of the block. Candidate reads
+    beyond the reference frame see zeros.
+
+    Only the box of positions whose candidate-(0, 0) block holds a pixel
+    that differs bitwise between the planes is scored (``_changed_box``),
+    from contiguous crops of both, and the field's arrays cover that box,
+    at ``MotionField.origin``. Every other position's block is the same in
+    both, so candidate (0, 0) has SAD 0 and kept count 0 there: no later
+    candidate improves on it (a SAD is never below 0 and the test is
+    strict), the position is matched with vector (0, 0) and no residual,
+    and its output is a copy of the reference output. ``me`` still charges
+    it what the loop charges: one candidate with early stopping on, since a
+    kept count of 0 reaches any trigger, and every candidate with it off.
+
+    No loop runs candidate by candidate through the decisions. Candidate
+    (0, 0) is scored over the whole box, and every other candidate in one
+    batch over the bounding box of the positions (0, 0) leaves searching
+    (``_score``), into stacked (candidate, row, column) float32 SADs and
+    integer kept counts; kept counts are exact. The decisions are replayed
+    on the stacks (``_replay``): the running minimum along the candidate
+    axis is each position's best so far, the first improving candidate
+    whose kept count reaches the trigger ends the prefix of candidates a
+    position evaluates, and the winner is the last improving candidate of
+    that prefix. ``me`` is charged once, for every evaluated (position,
+    candidate) pair of the whole grid.
+
+    A box SAD adds the block's k^2 C_in non-negative terms in float32, in
+    another order than a per-block float64 sum (``_block_sad``): each term
+    passes through at most d = (C_in - 1) + 2 (k - 1) additions, over the
+    channels and then in the two k-tap box passes. So it lies within about
+    d 2^-24 of the exact sum, relatively, and is 0 exactly when every term
+    is 0; the per-block sum lies within (k^2 C_in - 1) 2^-53 of it. Where
+    the two disagree on a comparison, the two box SADs compared therefore
+    lie within about 2 d 2^-24 of each other, relatively. The tolerance is
+    twice that, plus 1e-9 for the per-block sum of any block of fewer than
+    two million elements: 4 d 2^-24 + 1e-9, ~8.3e-6 at C_in = 32, k = 3.
+    Where an evaluated candidate's box SAD is nonzero and within it of the
+    best so far, relatively, or either is inf (a float32 sum of finite
+    terms can overflow where a float64 one does not), every candidate of
+    that position, (0, 0) included, is re-scored as a per-block float64
+    sum, on blocks gathered from the two planes for those positions only,
+    and those positions alone are replayed on them. Elsewhere no
+    comparison is that close, so the box sums order it as the per-block
+    sums do. Every comparison, and so every winner, early stop and ``me``
+    charge, is the one the per-block sums give.
+
+    The builder (``_build_field``) then turns the winners, their kept
+    counts and match flags into the field, reading both planes only at the
+    blocks the residual GEMM reads: matched positions with kept entries.
     """
     k, s = spec.kernel_size, spec.stride
     bsz = spec.block_size
@@ -506,6 +449,8 @@ def search_planes(
     # with early stopping off it is -1, which no kept count reaches
     trigger = math.floor(params.early_stop_density * bsz) if params.early_stop_enabled else -1
     offsets = _candidate_offsets(r)
+    # the relative gap below which box SADs may order otherwise than per-block sums
+    near_tie = 4 * ((spec.in_channels - 1) + 2 * (k - 1)) * 2.0**-24 + 1e-9
 
     i0, i1, j0, j1 = _changed_box(cur_pad, ref_pad, k, s, m, out_h, out_w)
     box_h, box_w = i1 - i0, j1 - j0
@@ -538,16 +483,19 @@ def search_planes(
             sad = np.concatenate([sad0[:, rows, cols], sad])
             kept = np.concatenate([kept0[:, rows, cols], kept])
             best, live, winner = _replay(sad, kept, trigger)
-            near = live[1:] & (np.abs(sad[1:] - best[:-1]) < _NEAR_TIE * sad[1:])
-            ti, tj = np.nonzero(near.any(axis=0))
+            with np.errstate(invalid="ignore"):  # inf - inf
+                gap = np.abs(sad[1:] - best[:-1])
+            unsure = (gap < near_tie * sad[1:]) | np.isinf(sad[1:]) | np.isinf(best[:-1])
+            ti, tj = np.nonzero((live[1:] & unsure).any(axis=0))
             if ti.size:
-                # every candidate of these positions, (0, 0) included, as per-block sums
+                # every candidate of these positions, (0, 0) included, as
+                # per-block float64 sums, replayed on their own
                 gi, gj = ti + a0 + r, tj + b0 + r
                 cur_cols = unfold_blocks(cur_pad, k, s, at=(gi, gj))
                 at = ((gi + offsets[:, :1]).ravel(), (gj + offsets[:, 1:]).ravel())
                 ref_cols = unfold_blocks(ref_pad, k, s, at=at).reshape(bsz, len(offsets), -1)
-                sad[:, ti, tj] = _block_sad(cur_cols[:, None] - ref_cols)
-                _, live, winner = _replay(sad, kept, trigger)
+                block_sad = _block_sad(cur_cols[:, None] - ref_cols)
+                _, live[:, ti, tj], winner[ti, tj] = _replay(block_sad, kept[:, ti, tj], trigger)
             best_cand[rows, cols] = winner
             best_nnz[rows, cols] = np.take_along_axis(kept, winner[None], axis=0)[0]
             evaluated += int(np.count_nonzero(live[1:]))

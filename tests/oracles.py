@@ -12,9 +12,11 @@ search's box-shaped field over the whole output grid, and
 ``dense_residual`` expands a field's compact residual columns into one row
 per position, the form the per-position references compare with.
 
-The rest are references only tests use: ``unpack``, the inverse of
-``bayer.pack``, and ``expected_motion``, the ground-truth vectors a search
-should recover on a synthetic scene (``GroundTruthMotion``).
+The rest are references only tests use: ``search``, the motion search
+on two frames, which validates and pads them for ``motion.search_planes``;
+``unpack``, the inverse of ``bayer.pack``; and ``expected_motion``, the
+ground-truth vectors a search should recover on a synthetic scene
+(``GroundTruthMotion``).
 """
 
 from dataclasses import dataclass, field
@@ -22,9 +24,10 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from motionconv import tensors
 from motionconv.bayer import PATTERNS, ROLE_NAMES, BayerFrame
 from motionconv.ledger import FlopsLedger
-from motionconv.motion import MotionField
+from motionconv.motion import MotionField, search_margin, search_planes
 from motionconv.synth import SceneSpec
 from motionconv.tensors import ConvSpec, ensure_feature_map
 
@@ -222,6 +225,22 @@ def conv_sparse_block(
     if ledger is not None:
         ledger.charge("res", 2 * block.nnz * spec.out_channels)
     return out.astype(np.float32, copy=False)
+
+
+def search(cur_input, ref_input, spec, params, ledger) -> MotionField:
+    """``search_planes`` on two frames: validates both (finite (C, H, W)
+    arrays of one shape with ``spec``'s input channels and a nonempty
+    output grid) and zero-pads each once by ``search_margin``, through
+    ``tensors.zero_pad``, into the planes it reads. The field covers the
+    box of changed positions at its ``origin``; ``full_grid`` spreads it."""
+    cur = ensure_feature_map(cur_input, channels=spec.in_channels, name="current input")
+    ref = ensure_feature_map(ref_input, channels=spec.in_channels, name="reference input")
+    if cur.shape != ref.shape:
+        raise ValueError(f"current/reference shapes differ: {cur.shape} vs {ref.shape}")
+    spec.out_shape(cur.shape[1], cur.shape[2])  # raises when the output grid is empty
+    margin = search_margin(spec, params)
+    return search_planes(tensors.zero_pad(cur, margin), tensors.zero_pad(ref, margin), spec, params,
+                         ledger)
 
 
 def _candidate_offsets(search_range):

@@ -25,12 +25,12 @@ from motionconv.bayer import PATTERNS, BayerFrame, load_raw_sequence, mosaic, pa
 from motionconv.cli import main
 from motionconv.layer import ACTIVATIONS, MotionCompLayer
 from motionconv.ledger import FlopsLedger
-from motionconv.motion import MotionParams, search
+from motionconv.motion import MotionParams
 from motionconv.scheduler import GopConfig, Network, run_sequence
 from motionconv.synth import SceneSpec, generate, random_conv_spec
 from motionconv.tensors import conv2d
 
-from oracles import expected_motion, full_grid, unpack
+from oracles import expected_motion, full_grid, search, unpack
 
 
 def announce(criterion: int, message: str) -> None:

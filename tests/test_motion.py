@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionconv.ledger import FlopsLedger
-from motionconv.motion import MotionParams, _kept, search
+from motionconv.motion import MotionParams, _kept
 from motionconv.synth import SceneSpec, generate
 from motionconv.tensors import ConvSpec
 
-from oracles import expected_motion, full_grid, naive_sad, sad, threshold_residual
+from oracles import expected_motion, full_grid, naive_sad, sad, search, threshold_residual
 
 
 def make_spec(rng, c_in=3, c_out=4, k=3, stride=1, padding=1):

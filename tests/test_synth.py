@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from motionconv.ledger import FlopsLedger
-from motionconv.motion import MotionParams, search
+from motionconv.motion import MotionParams
 from motionconv.synth import SceneSpec, generate, random_conv_spec
 
-from oracles import expected_motion, full_grid
+from oracles import expected_motion, full_grid, search
 
 
 class TestGenerate:
