@@ -70,6 +70,7 @@ _RANGE = _checked(int, lambda v: v >= 0, "a search range >= 0")
 _EARLY_STOP = _checked(float, lambda v: v <= 1, "a density <= 1 (negative disables)")
 _DENSITY = _checked(float, lambda v: 0 <= v <= 1, "a density in [0, 1]")
 _BIT_DEPTH = _checked(int, lambda v: 8 <= v <= 16, "a bit depth in [8, 16]")
+_SEED = _checked(int, lambda v: v >= 0, "a seed >= 0")
 
 
 def _load_scene(arg: str, seed: int) -> SceneSpec:
@@ -380,7 +381,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--oracle", action="store_true", help="also run the dense pipeline and report errors")
     p.add_argument("--out", default="motionconv_out", help="output directory (default motionconv_out)")
     p.add_argument("--format", choices=("json", "csv", "both"), default="json")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--bayer-mode", choices=("packed", "plane"), default="packed", dest="bayer_mode",
                    help="feed raw input packed 4-channel half-res, or as a single plane")
 
@@ -411,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True, help="output raw file path")
     p_synth.add_argument("--pattern", default="RGGB")
     p_synth.add_argument("--bit-depth", type=_BIT_DEPTH, default=8, dest="bit_depth")
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=_SEED, default=0)
     p_synth.set_defaults(func=cmd_synth)
     return parser
 

@@ -12,17 +12,14 @@ convolution where no usable match exists; the fallback gathers the
 receptive fields of those positions only, from the same padded plane.
 The output starts as a copy of the cached output, which is already every
 position's output outside the search's box of changed positions (a box
-of the whole grid skips the copy). Inside the box, the residual GEMM
-turns the field's tap-major columns into the convolved residuals of the
-positions they list. When they list every box position, one column
-gather writes the predictions into the box and the GEMM's output is
-added in place; otherwise the compensated outputs, if any, are
-appended to the cached output and one column gather writes every box
-position from either. The fallback then overwrites every box position the prediction
-does not serve, demoted ones included. The activation, when configured,
-is applied after reconstruction so the next layer always sees true
-post-activation features; the cache keeps pre-activation values because
-only those decompose linearly.
+of the whole grid skips the copy). Inside the box, one column gather
+writes the predictions, and the residual GEMM's output, the convolved
+residuals of the positions the field's tap-major columns list, is added
+over the box in place. The fallback then overwrites every box position
+the prediction does not serve, demoted ones included. The activation,
+when configured, is applied after reconstruction so the next layer
+always sees true post-activation features; the cache keeps
+pre-activation values because only those decompose linearly.
 """
 
 from __future__ import annotations
@@ -233,15 +230,15 @@ class MotionCompLayer:
         as a copy of the cached output, and only the box is worked on; a box
         of the whole grid needs no copy, since every box position is written.
 
-        The residual GEMM turns the field's columns into the convolved
-        residuals, scaled by ``post_scale``, of the positions
-        ``residual_at`` lists. When it lists every box position, one take
-        writes the predictions into the box and the GEMM's output is added
-        there in place. Otherwise the compensated columns, if any, are
-        appended to the cached output and one take writes every box
-        position from either, so that a position with nothing kept is a
-        pure copy, -0.0 included. The fallback then overwrites every
-        position the prediction does not serve, unmatched and demoted ones.
+        One take writes every box position's prediction. The residual GEMM
+        turns the field's columns into the convolved residuals, scaled by
+        ``post_scale``, of the positions ``residual_at`` lists, and they are
+        added over the box in place. When it lists only some positions, the
+        columns are first spread over the box with -0.0 at the others:
+        adding -0.0 leaves a float unchanged, so a position with nothing
+        kept is a pure copy, -0.0 included. The fallback then overwrites
+        every position the prediction does not serve, unmatched and demoted
+        ones.
 
         ``x`` is validated and zero-padded once, by the search margin. The
         search reads that plane against the cached one without validating
@@ -296,30 +293,26 @@ class MotionCompLayer:
         if served.any():
             # Sources of unserved positions are clipped, and the fallback
             # overwrites those positions, demoted listed ones included.
-            src = (src_i * out_w + src_j).ravel()
-            source = prev.reshape(c_out, -1)
+            src = src_i * out_w + src_j
+            np.take(prev.reshape(c_out, -1), src, axis=1, out=box, mode="clip")
             nz = field.residual_at
             if self.compensate:
                 nnz_total = int(field.nnz[served].sum())
                 if ledger is not None:
                     ledger.charge("res", 2 * nnz_total * c_out)
+            if self.compensate and nz.size:
                 comp = spec.weights.reshape(c_out, -1) @ field.residual
                 if self.post_scale is not None:
                     comp *= self.post_scale[:, None]
-            if self.compensate and nz.size == served.size:
-                # every box position is listed: the prediction taken into the
-                # box plus the compensation, column n at box position n
-                np.take(source, src.reshape(box_h, box_w), axis=1, out=box, mode="clip")
+                if nz.size < served.size:
+                    # column n goes to box position nz[n]; every other
+                    # position takes an appended -0.0 column
+                    ext = np.full((c_out, nz.size + 1), -0.0, np.float32)
+                    ext[:, :-1] = comp
+                    at = np.full(served.size, nz.size)
+                    at[nz] = np.arange(nz.size)
+                    comp = np.take(ext, at, axis=1)
                 box += comp.reshape(box.shape)
-            else:
-                # One take writes every box position from the cached output,
-                # or from the compensated columns appended to it for the
-                # positions listed in residual_at, when it lists any.
-                if self.compensate and nz.size:
-                    comp += np.take(source, src[nz], axis=1, mode="clip")
-                    source = np.concatenate([source, comp], axis=1)
-                    src[nz] = out_h * out_w + np.arange(nz.size)
-                np.take(source, src.reshape(box_h, box_w), axis=1, out=box, mode="clip")
 
         fi, fj = np.nonzero(~served)
         if fi.size:

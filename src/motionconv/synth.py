@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .tensors import ConvSpec
+from .tensors import ConvSpec, is_int
 
 KINDS = ("static", "global_translate", "block_translate", "noise_mix")
 
@@ -34,8 +34,12 @@ class SceneSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scene kind {self.kind!r}; choose from {KINDS}")
-        if self.height < 1 or self.width < 1 or self.channels < 1 or self.frame_count < 1:
-            raise ValueError("dims, channels and frame_count must be >= 1")
+        for name in ("height", "width", "channels", "frame_count", "seed", "motion", "block"):
+            value = getattr(self, name)
+            if not all(map(is_int, value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{name} must be an integer or a tuple of them, got {value!r}")
+        if min(self.height, self.width, self.channels, self.frame_count) < 1 or self.seed < 0:
+            raise ValueError("dims, channels and frame_count must be >= 1, seed >= 0")
         if self.noise_amplitude < 0:
             raise ValueError("noise_amplitude must be >= 0")
         dx, dy = self.motion

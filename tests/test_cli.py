@@ -65,6 +65,16 @@ class TestRun:
     def test_bad_scene_json_is_usage_error(self, tmp_path):
         assert main(["run", "--scene", '{"kind": "nope"}', "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "entry", [{"seed": 1.5}, {"height": 16.5}, {"motion": [0.5, 0]}, {"frame_count": True}]
+    )
+    def test_non_integer_scene_field_is_usage_error(self, tmp_path, capsys, entry):
+        scene = json.dumps({**json.loads(STATIC_SCENE), **entry})
+        out = tmp_path / "o"
+        assert main(["run", "--scene", scene, "--out", str(out)]) == 2
+        assert "bad scene spec" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_scene_file_is_io_error(self, tmp_path):
         assert main(["run", "--scene", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "o")]) == 3
@@ -73,7 +83,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "flag,value",
         [("--gop", "0"), ("--tau", "-1"), ("--range", "-1"), ("--beta-max", "2"),
-         ("--early-stop", "2"), ("--gop", "x")],
+         ("--early-stop", "2"), ("--gop", "x"), ("--seed", "-1")],
     )
     def test_out_of_domain_flag_is_usage_error(self, tmp_path, capsys, command, flag, value):
         argv = [command, "--scene", STATIC_SCENE, flag, value, "--out", str(tmp_path / "o")]
@@ -358,6 +368,14 @@ class TestSynth:
         out = tmp_path / "x.raw"
         assert main(["synth", "--scene", scene, "--out", str(out), "--bit-depth", value]) == 2
         assert "--bit-depth" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        scene = json.dumps({"kind": "static", "height": 4, "width": 4,
+                            "channels": 3, "frame_count": 1})
+        out = tmp_path / "x.raw"
+        assert main(["synth", "--scene", scene, "--out", str(out), "--seed", "-5"]) == 2
+        assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_rgb_scene_is_usage_error(self, tmp_path):

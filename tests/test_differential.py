@@ -804,6 +804,21 @@ def test_fully_listed_box_takes_nothing_from_the_current_plane(stride, search_ra
     search_as_loop(cur, ref, spec, params)
 
 
+def appends_to(prev, monkeypatch):
+    """Spy on ``np.concatenate``: the returned list gains, per array it is
+    handed, whether that array shares memory with ``prev``, a layer's cached
+    output. Every box is written in place, so nothing is appended to it."""
+    appended = []
+    real = np.concatenate
+
+    def concatenate(arrays, *args, **kwargs):
+        appended.extend(np.shares_memory(a, prev) for a in arrays)
+        return real(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", concatenate)
+    return appended
+
+
 def listed_patch(stride, tau, rng):
     """A layer and two frames that differ by small offsets on a patch, so
     that the search's box lists every position it holds, while most of the
@@ -829,7 +844,7 @@ def test_fully_listed_box_matches_the_listed_whole_grid(stride, tau, compensate,
     # gathers their blocks and adds at their positions. Both hand the GEMM
     # the same columns, so outputs agree bit for bit (through a uint32 view,
     # which tells -0.0 from 0.0), ledgers and stats too, and both match the
-    # per-position reference.
+    # per-position reference. Neither appends to the cached output.
     rng = np.random.default_rng(31 + stride)
     cur, ref, spec, params = listed_patch(stride, tau, rng)
     kwargs = {"compensate": compensate, "activation": "relu"}
@@ -846,8 +861,10 @@ def test_fully_listed_box_matches_the_listed_whole_grid(stride, tau, compensate,
             layer = MotionCompLayer(spec, params, **kwargs)
             layer.forward_key(ref, FlopsLedger())
             ref_output = layer.cache.prev_output.copy()
+            appended = appends_to(layer.cache.prev_output, mp)
             led = FlopsLedger()
             out = layer.forward_nonkey(cur, led)
+        assert not any(appended)
         (field,) = fields
         listed = field.residual_at.size
         assert (listed == field.matched.size) == (not whole_grid)
@@ -872,12 +889,13 @@ def test_fully_listed_box_matches_the_listed_whole_grid(stride, tau, compensate,
 
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("box", ["grid", "part"])
-def test_pure_copies_in_a_box_keep_negative_zero(stride, box):
+def test_pure_copies_in_a_box_keep_negative_zero(stride, box, monkeypatch):
     # positions with nothing kept are pure copies of the cached output, -0.0
     # included: adding their zero residual (+0.0) would turn -0.0 into 0.0.
     # The scene changes a ring of pixels (the whole grid's box) or the left
     # 12 columns (a box of part of it) and leaves a square inside them,
-    # whose positions keep vector (0, 0) with nothing kept, unchanged
+    # whose positions keep vector (0, 0) with nothing kept, unchanged. The
+    # box is written in place, not appended to the cached output.
     rng = np.random.default_rng(8)
     c, h, w = 2, 16, 16
     ref = (rng.integers(0, 257, size=(c, h, w)) / 256).astype(np.float32)
@@ -898,7 +916,10 @@ def test_pure_copies_in_a_box_keep_negative_zero(stride, box):
     layer.cache.prev_output[:, pure] = -0.0
     ref_output = layer.cache.prev_output.copy()
     field = search(cur, ref, spec, params, None)
+    appended = appends_to(layer.cache.prev_output, monkeypatch)
     out = layer.forward_nonkey(cur, FlopsLedger())
+    monkeypatch.undo()
+    assert not any(appended)
     i0, j0 = field.origin
     box_h, box_w = field.matched.shape
     assert ((box_h, box_w) == (out_h, out_w)) == (box == "grid")
@@ -935,14 +956,7 @@ def test_served_box_with_nothing_listed_copies_the_cached_output(stride, monkeyp
     prev = layer.cache.prev_output
     prev[:, ::2] = -0.0
     ref_output = prev.copy()
-    appended = []
-    real = np.concatenate
-
-    def concatenate(arrays, *args, **kwargs):
-        appended.extend(np.shares_memory(a, prev) for a in arrays)
-        return real(arrays, *args, **kwargs)
-
-    monkeypatch.setattr(np, "concatenate", concatenate)
+    appended = appends_to(prev, monkeypatch)
     led = FlopsLedger()
     out = layer.forward_nonkey(cur, led)
     monkeypatch.undo()

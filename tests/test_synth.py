@@ -63,6 +63,15 @@ class TestGenerate:
             SceneSpec(kind="block_translate", height=16, width=16, channels=1,
                       frame_count=8, motion=(2, 0), block=(4, 4, 4, 4))
 
+    @pytest.mark.parametrize("name,value", [
+        ("seed", -1), ("seed", 1.5), ("height", 16.5), ("frame_count", True),
+        ("motion", (0.5, 0)), ("block", (0, 0, 8.5, 8)),
+    ])
+    def test_rejects_non_integer_or_negative_seed_fields(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SceneSpec(**{"kind": "static", "height": 8, "width": 8, "channels": 1,
+                         "frame_count": 3, name: value})
+
     def test_values_stay_in_unit_range(self):
         spec = SceneSpec(kind="noise_mix", height=8, width=8, channels=2,
                          frame_count=3, seed=5, noise_amplitude=0.5)
