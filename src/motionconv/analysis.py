@@ -108,28 +108,28 @@ def acceleration(m: CostModel, paper_variant: bool = True) -> float:
 
 
 def _aggregate_alpha_beta(records: list[LayerFrameRecord]) -> tuple[Optional[float], Optional[float]]:
-    nonkey = [r for r in records if not r.is_key and r.matched is not None]
+    nonkey = [r.stats for r in records if r.stats is not None]
     if not nonkey:
         return None, None
-    positions = sum(r.positions for r in nonkey)
-    matched = sum(r.matched for r in nonkey)
-    entries = sum(r.matched * r.block_size for r in nonkey)
-    nnz = sum(r.nnz_total for r in nonkey)
+    positions = sum(st.positions for st in nonkey)
+    matched = sum(st.matched for st in nonkey)
+    entries = sum(st.matched * st.block_size for st in nonkey)
+    nnz = sum(st.nnz_total for st in nonkey)
     alpha = matched / positions if positions else None
     beta = (nnz / entries) if entries else 0.0
     return alpha, beta
 
 
 def _aggregate_search_alpha(records: list[LayerFrameRecord]) -> Optional[float]:
-    nonkey = [r for r in records if not r.is_key and r.search_alpha is not None]
+    nonkey = [r.stats for r in records if r.stats is not None]
     if not nonkey:
         return None
-    return sum(r.search_alpha * r.positions for r in nonkey) / sum(r.positions for r in nonkey)
+    return sum(st.search_alpha * st.positions for st in nonkey) / sum(st.positions for st in nonkey)
 
 
 def _cost_model(r: LayerFrameRecord, alpha: float, beta: float) -> CostModel:
     """The record's layer geometry with the given match statistics."""
-    return CostModel(r.kernel_size, r.stride, r.in_channels, r.out_channels,
+    return CostModel(r.spec.kernel_size, r.spec.stride, r.spec.in_channels, r.spec.out_channels,
                      r.out_h, r.out_w, r.search_range, alpha, beta)
 
 
@@ -144,9 +144,9 @@ def _model_totals(records: list[LayerFrameRecord], paper_variant: bool) -> dict:
     me = unmatched = res = 0
     nonkey_conv = 0
     for r in records:
-        if r.is_key or r.matched is None:
+        if r.stats is None:
             continue
-        part = model_nonkey_flops(_cost_model(r, r.alpha, r.beta), paper_variant)
+        part = model_nonkey_flops(_cost_model(r, r.stats.alpha, r.stats.beta), paper_variant)
         me += part["me"]
         unmatched += part["unmatched"]
         res += part["res"]
@@ -177,11 +177,11 @@ def build_report(result: RunResult, config: dict) -> dict:
         r0 = recs[0]
         entry = {
             "layer": li,
-            "kernel_size": r0.kernel_size,
-            "stride": r0.stride,
-            "padding": r0.padding,
-            "in_channels": r0.in_channels,
-            "out_channels": r0.out_channels,
+            "kernel_size": r0.spec.kernel_size,
+            "stride": r0.spec.stride,
+            "padding": r0.spec.padding,
+            "in_channels": r0.spec.in_channels,
+            "out_channels": r0.spec.out_channels,
             "out_h": r0.out_h,
             "out_w": r0.out_w,
             "search_range": r0.search_range,

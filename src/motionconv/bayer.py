@@ -46,7 +46,8 @@ class BayerFrame:
         h, w = self.plane.shape
         if h % 2 or w % 2:
             raise ValueError(f"dims must be even, got {h}x{w}")
-        if self.plane.size and (self.plane.min() < 0.0 or self.plane.max() > 1.0):
+        # written so that NaN, which compares false, fails it
+        if self.plane.size and not (self.plane.min() >= 0.0 and self.plane.max() <= 1.0):
             raise ValueError("plane values must lie in [0, 1]")
 
     @property
@@ -151,8 +152,9 @@ def save_raw_sequence(path, frames, bit_depth: int = 8, sidecar_path=None) -> di
     frames = list(frames)
     if not frames:
         raise ValueError("no frames to write")
-    if not 8 <= bit_depth <= 16:
-        raise ValueError(f"bit_depth must be in [8, 16], got {bit_depth}")
+    if not is_int(bit_depth) or not 8 <= bit_depth <= 16:
+        raise ValueError(f"bit_depth must be an integer in [8, 16], got {bit_depth!r}")
+    bit_depth = int(bit_depth)
     pattern = frames[0].pattern
     h, w = frames[0].height, frames[0].width
     for t, frame in enumerate(frames):

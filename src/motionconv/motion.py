@@ -263,41 +263,32 @@ def _score(
     over channels in float32 and its kept entries counted per pixel; one
     box filter per stack then sums each window. A float32 difference or sum
     of finite terms may overflow to inf, with no warning: ``search_planes``
-    re-scores such SADs. Where the box spans at least half the plane's
-    width, each channel's rows of the box are subtracted as one contiguous
-    run of the flattened plane, which runs through the columns beside the
-    box: per-pixel results then sit in rows of the plane's width, and the
-    box filter reads only the box's columns. A narrower box is subtracted
-    as a 3-D crop, because runs would mostly read the columns beside it.
-    Either way every element is the difference of the same two pixels."""
+    re-scores such SADs. Each channel's rows of the box are subtracted as
+    one contiguous run of the flattened plane, which runs through the
+    columns beside the box: per-pixel results sit in rows of the plane's
+    width, and the box filter reads only the box's columns."""
     c, _, wp = cur_pad.shape
     hh, ww = (out_h - 1) * s + k, (out_w - 1) * s + k
-    if 2 * ww >= wp:
-        width, cur, ref = wp, cur_pad.reshape(c, -1), ref_pad.reshape(c, -1)
+    run = (hh - 1) * wp + ww
+    cur, ref = cur_pad.reshape(c, -1), ref_pad.reshape(c, -1)
 
-        def window(plane, y, x):
-            return plane[:, y * wp + x :][:, : (hh - 1) * wp + ww]
-    else:
-        width, cur, ref = ww, cur_pad, ref_pad
-
-        def window(plane, y, x):
-            return plane[:, y : y + hh, x : x + ww]
+    def window(plane, y, x):
+        return plane[:, y * wp + x :][:, :run]
 
     cur = window(cur, *corner)
-    run = (hh - 1) * width + ww
     mag = np.empty((c, run), np.float32)
     keep = np.empty((c, run), bool)
-    sad_px = np.empty((len(shifts), hh * width), np.float32)
+    sad_px = np.empty((len(shifts), hh * wp), np.float32)
     # per-pixel kept counts, at most C, summed in the narrowest type that holds them
-    kept_px = np.empty((len(shifts), hh * width), np.min_scalar_type(c))
+    kept_px = np.empty((len(shifts), hh * wp), np.min_scalar_type(c))
 
     def box(px, acc):
-        return _box(px.reshape(-1, hh, width)[..., :ww], k, s, out_h, out_w, acc)
+        return _box(px.reshape(-1, hh, wp)[..., :ww], k, s, out_h, out_w, acc)
 
     with np.errstate(over="ignore"):
         for n, (dy, dx) in enumerate(shifts):
             shifted = window(ref, corner[0] + int(dy), corner[1] + int(dx))
-            np.subtract(cur, shifted, out=mag.reshape(cur.shape))
+            np.subtract(cur, shifted, out=mag)
             np.abs(mag, out=mag)
             np.sum(mag, axis=0, out=sad_px[n, :run])
             _kept(mag, tau, out=keep)

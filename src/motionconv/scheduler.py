@@ -10,15 +10,15 @@ feeds back into the pipeline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .ledger import FlopsLedger
-from .layer import MotionCompLayer
-from .tensors import FeatureMap, ensure_feature_map, is_int, require_keys
+from .layer import MotionCompLayer, NonKeyStats
+from .tensors import ConvSpec, FeatureMap, ensure_feature_map, is_int, require_keys
 
 
 @dataclass(frozen=True)
@@ -107,35 +107,25 @@ class Network:
 
 @dataclass
 class LayerFrameRecord:
-    """Exact cost and match statistics for one layer on one frame."""
+    """Exact cost of one layer on one frame, with the layer's ``spec`` and,
+    on a non-key frame, its match statistics ``stats`` (``None`` on a key
+    frame)."""
 
     frame: int
     layer: int
     is_key: bool
     flops: dict[str, int]
     pred_bytes: int
-    kernel_size: int
-    stride: int
-    padding: int
-    in_channels: int
-    out_channels: int
+    spec: ConvSpec
     out_h: int
     out_w: int
     search_range: int
-    positions: int
-    matched: Optional[int] = None
-    demoted: int = 0
-    nnz_total: int = 0
-    block_size: int = 0
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    # match ratio as the search saw it, before out-of-grid demotions
-    search_alpha: Optional[float] = None
+    stats: Optional[NonKeyStats]
 
     @property
     def conv_flops(self) -> int:
         """Dense cost of this layer at these dims (the baseline unit)."""
-        return 2 * self.kernel_size**2 * self.in_channels * self.out_channels * self.out_h * self.out_w
+        return 2 * self.spec.block_size * self.spec.out_channels * self.out_h * self.out_w
 
 
 @dataclass
@@ -180,28 +170,19 @@ def run_sequence(net: Network, frames: Iterable[FeatureMap], config: GopConfig) 
                     x = layer.forward_key(x, sub) if is_key else layer.forward_nonkey(x, sub)
                 except ValueError as exc:
                     raise ValueError(f"frame {t}, layer {li}: {exc}") from exc
-                rec = LayerFrameRecord(
+                records.append(LayerFrameRecord(
                     frame=t,
                     layer=li,
                     is_key=is_key,
                     flops=sub.counts(),
                     pred_bytes=sub.pred_bytes_moved,
-                    kernel_size=layer.spec.kernel_size,
-                    stride=layer.spec.stride,
-                    padding=layer.spec.padding,
-                    in_channels=layer.spec.in_channels,
-                    out_channels=layer.spec.out_channels,
+                    spec=layer.spec,
                     out_h=out_h,
                     out_w=out_w,
                     search_range=layer.params.search_range,
-                    positions=out_h * out_w,
-                )
-                if not is_key and layer.last_stats is not None:
-                    st = layer.last_stats
-                    rec = replace(rec, matched=st.matched, demoted=st.demoted,
-                                  nnz_total=st.nnz_total, block_size=st.block_size,
-                                  alpha=st.alpha, beta=st.beta, search_alpha=st.search_alpha)
-                records.append(rec)
+                    # a fresh NonKeyStats per non-key pass, None after a key pass
+                    stats=layer.last_stats,
+                ))
                 ledger.merge(sub)
             outputs.append(x)
 

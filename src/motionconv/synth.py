@@ -10,6 +10,8 @@ recovery assertions are well posed.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -40,8 +42,9 @@ class SceneSpec:
                 raise ValueError(f"{name} must be an integer or a tuple of them, got {value!r}")
         if min(self.height, self.width, self.channels, self.frame_count) < 1 or self.seed < 0:
             raise ValueError("dims, channels and frame_count must be >= 1, seed >= 0")
-        if self.noise_amplitude < 0:
-            raise ValueError("noise_amplitude must be >= 0")
+        amp = self.noise_amplitude
+        if not isinstance(amp, numbers.Real) or isinstance(amp, bool) or not 0 <= amp < math.inf:
+            raise ValueError(f"noise_amplitude must be a finite real >= 0, got {amp!r}")
         dx, dy = self.motion
         span = self.frame_count - 1
         if abs(dx) * span >= self.width or abs(dy) * span >= self.height:

@@ -141,15 +141,15 @@ def test_criterion_2_counter_model_reconciliation(randomized_runs):
                 assert rec.flops["key"] == rec.conv_flops
                 continue
             m = CostModel(
-                kernel_size=rec.kernel_size,
-                stride=rec.stride,
-                in_channels=rec.in_channels,
-                out_channels=rec.out_channels,
+                kernel_size=rec.spec.kernel_size,
+                stride=rec.spec.stride,
+                in_channels=rec.spec.in_channels,
+                out_channels=rec.spec.out_channels,
                 out_h=rec.out_h,
                 out_w=rec.out_w,
                 search_range=rec.search_range,
-                alpha=rec.alpha,
-                beta=rec.beta,
+                alpha=rec.stats.alpha,
+                beta=rec.stats.beta,
             )
             model = model_nonkey_flops(m, paper_variant=False)
             measured = {

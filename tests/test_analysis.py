@@ -201,7 +201,7 @@ class TestReport:
         result = small_run(gop=4)
         report = build_report(result, {})
         nonkey = [r for r in result.records if not r.is_key]
-        alpha = sum(r.matched for r in nonkey) / sum(r.positions for r in nonkey)
+        alpha = sum(r.stats.matched for r in nonkey) / sum(r.stats.positions for r in nonkey)
         assert report["measured_alpha"] == alpha
 
     def test_model_exact_variant_matches_ledger_when_early_stop_disabled(self):
@@ -223,10 +223,10 @@ class TestReport:
             if rec.is_key:
                 continue
             m = CostModel(
-                kernel_size=rec.kernel_size, stride=rec.stride,
-                in_channels=rec.in_channels, out_channels=rec.out_channels,
+                kernel_size=rec.spec.kernel_size, stride=rec.spec.stride,
+                in_channels=rec.spec.in_channels, out_channels=rec.spec.out_channels,
                 out_h=rec.out_h, out_w=rec.out_w, search_range=rec.search_range,
-                alpha=rec.alpha, beta=rec.beta,
+                alpha=rec.stats.alpha, beta=rec.stats.beta,
             )
             predicted = acceleration(m, paper_variant=False)
             measured = 1.0 - rec.flops["total"] / rec.conv_flops

@@ -98,6 +98,13 @@ class TestBayerFrame:
         with pytest.raises(ValueError, match="even"):
             BayerFrame("RGGB", np.zeros((3, 4), dtype=np.float32))
 
+    def test_rejects_nan(self):
+        # quantizing a NaN sample would write an undefined code
+        rgb = np.full((3, 4, 4), 0.5, dtype=np.float32)
+        rgb[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            mosaic(rgb, "RGGB")
+
 
 class TestRawIO:
     def test_two_frame_8bit_file_size(self, tmp_path):
@@ -142,6 +149,14 @@ class TestRawIO:
         with pytest.raises(ValueError, match="pattern"):
             list(load_raw_sequence(path, sidecar))
 
+    @pytest.mark.parametrize("bit_depth", [10.5, 8.0, True, "8"])
+    def test_save_rejects_non_integer_bit_depth(self, tmp_path, bit_depth):
+        # a sidecar its own loader would reject is never written
+        frames = [BayerFrame("RGGB", np.zeros((4, 4), dtype=np.float32))]
+        with pytest.raises(ValueError, match="bit_depth"):
+            save_raw_sequence(tmp_path / "x.raw", frames, bit_depth=bit_depth)
+        assert not (tmp_path / "x.raw.json").exists()
+
     def test_bad_bit_depth_rejected(self, tmp_path):
         path = tmp_path / "x.raw"
         path.write_bytes(b"\x00" * 16)
@@ -163,7 +178,8 @@ class TestRawIO:
         with pytest.raises(ValueError, match=key):
             list(load_raw_sequence(path, sidecar))
 
-    @pytest.mark.parametrize("bit_depth", [8, 12, 16])
+    # a numpy integer bit depth is written to the JSON sidecar as a plain int
+    @pytest.mark.parametrize("bit_depth", [8, 12, 16, np.int64(10)])
     def test_write_read_write_bit_exact(self, tmp_path, bit_depth):
         rng = np.random.default_rng(4)
         codes = rng.integers(0, 2**bit_depth, size=(3, 6, 6))

@@ -66,7 +66,11 @@ class TestRun:
         assert main(["run", "--scene", '{"kind": "nope"}', "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize(
-        "entry", [{"seed": 1.5}, {"height": 16.5}, {"motion": [0.5, 0]}, {"frame_count": True}]
+        "entry", [{"seed": 1.5}, {"height": 16.5}, {"motion": [0.5, 0]}, {"frame_count": True},
+                  # the JSON reader takes NaN and Infinity; a noise_mix scene
+                  # with either once died in the noise generator, uncaught
+                  {"noise_amplitude": float("nan")}, {"noise_amplitude": float("inf")},
+                  {"noise_amplitude": True}]
     )
     def test_non_integer_scene_field_is_usage_error(self, tmp_path, capsys, entry):
         scene = json.dumps({**json.loads(STATIC_SCENE), **entry})
@@ -74,6 +78,12 @@ class TestRun:
         assert main(["run", "--scene", scene, "--out", str(out)]) == 2
         assert "bad scene spec" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_input_without_sidecar_is_usage_error(self, tmp_path, capsys):
+        raw = tmp_path / "seq.raw"
+        raw.write_bytes(b"\x00" * 64)
+        assert main(["run", "--input", str(raw), "--out", str(tmp_path / "o")]) == 2
+        assert "--sidecar" in capsys.readouterr().err
 
     def test_missing_scene_file_is_io_error(self, tmp_path):
         assert main(["run", "--scene", str(tmp_path / "absent.json"),
@@ -92,6 +102,13 @@ class TestRun:
         assert main(argv) == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_beta_max_overrides_every_layer(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", "--scene", STATIC_SCENE, "--beta-max", "0.5", "--out", str(out)]) == 0
+        layers = read_report(out)["config"]["layers"]
+        assert len(layers) == 2
+        assert all(layer["match_max_density"] == 0.5 for layer in layers)
 
     def test_resolved_config_recorded(self, tmp_path):
         out = tmp_path / "o"
@@ -272,6 +289,28 @@ class TestVerify:
         ratio = float(line[0].split("worst ratio=")[1].rstrip("]"))
         assert 0 < ratio <= 1
 
+    def test_threshold_bound_folds_post_scale_into_weights(self):
+        # post_scale multiplies each output channel, so the bound is that of
+        # weights pre-multiplied by it
+        from motionconv.cli import _error_bound_after_threshold
+        from motionconv.layer import MotionCompLayer
+        from motionconv.scheduler import Network
+        from motionconv.synth import random_conv_spec
+        from motionconv.tensors import ConvSpec
+
+        rng = np.random.default_rng(11)
+        specs = [random_conv_spec(rng, 3, 6, 3, 1), random_conv_spec(rng, 6, 4, 3, 1)]
+        scales = [rng.uniform(-2.0, 2.0, 6), rng.uniform(-2.0, 2.0, 4)]
+        scaled = Network([MotionCompLayer(s, post_scale=v) for s, v in zip(specs, scales)])
+        folded = Network([
+            MotionCompLayer(ConvSpec(s.weights * v.astype(np.float32)[:, None, None, None],
+                                     s.bias, s.stride, s.padding))
+            for s, v in zip(specs, scales)
+        ])
+        bound = _error_bound_after_threshold(scaled, 0.01)
+        assert bound > 0
+        assert bound == pytest.approx(_error_bound_after_threshold(folded, 0.01), rel=1e-6)
+
     def test_gop_bound_scales_with_position(self):
         from motionconv.cli import _worst_gop_bound_ratio
 
@@ -376,6 +415,14 @@ class TestSynth:
         out = tmp_path / "x.raw"
         assert main(["synth", "--scene", scene, "--out", str(out), "--seed", "-5"]) == 2
         assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_pattern_is_usage_error(self, tmp_path, capsys):
+        scene = json.dumps({"kind": "static", "height": 4, "width": 4,
+                            "channels": 3, "frame_count": 1})
+        out = tmp_path / "x.raw"
+        assert main(["synth", "--scene", scene, "--out", str(out), "--pattern", "XYZZ"]) == 2
+        assert "XYZZ" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_rgb_scene_is_usage_error(self, tmp_path):

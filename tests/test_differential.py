@@ -435,7 +435,8 @@ def test_ledger_counts_pinned_on_seeded_sequence():
         "key": 746496, "me": 2490318, "res": 979104, "unmatched": 1386864, "total": 5602782,
     }
     assert result.ledger.pred_bytes_moved == 121696
-    assert [(r.matched, r.demoted, r.nnz_total) for r in result.records if not r.is_key] == [
+    assert [(r.stats.matched, r.stats.demoted, r.stats.nnz_total)
+            for r in result.records if not r.is_key] == [
         (549, 27, 7944), (139, 5, 2534), (31, 0, 1024),
         (554, 22, 7827), (132, 12, 2382), (20, 12, 665),
         (573, 3, 8062), (140, 4, 2671), (23, 10, 734),

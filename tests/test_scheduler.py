@@ -197,7 +197,7 @@ class TestRunSequence:
         assert [r.frame for r in result.records if r.layer == 0 and r.is_key] == [0, 2, 4]
         key_records = [r for r in result.records if r.is_key]
         assert all(r.flops["me"] == 0 for r in key_records)
-        assert all(r.alpha is None for r in key_records)
+        assert all(r.stats is None for r in key_records)
 
     def test_caches_released_on_return(self):
         # every run starts with a key frame, so nothing may outlive the run

@@ -66,6 +66,8 @@ class TestGenerate:
     @pytest.mark.parametrize("name,value", [
         ("seed", -1), ("seed", 1.5), ("height", 16.5), ("frame_count", True),
         ("motion", (0.5, 0)), ("block", (0, 0, 8.5, 8)),
+        ("noise_amplitude", float("nan")), ("noise_amplitude", float("inf")),
+        ("noise_amplitude", -0.1), ("noise_amplitude", True), ("noise_amplitude", "0.1"),
     ])
     def test_rejects_non_integer_or_negative_seed_fields(self, name, value):
         with pytest.raises(ValueError, match=name):
