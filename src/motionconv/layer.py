@@ -10,13 +10,16 @@ plane, copy matched outputs from the cached output map, add the
 convolution of the sparse residual, and fall back to dense per-position
 convolution where no usable match exists; the fallback gathers the
 receptive fields of those positions only, from the same padded plane.
-The output starts as a copy of the cached output, which is already every
-position's output outside the search's box of changed positions (a box
-of the whole grid skips the copy). Inside the box, one column gather
-writes the predictions, and the residual GEMM's output, the convolved
-residuals of the positions the field's tap-major columns list, is added
-over the box in place. The fallback then overwrites every box position
-the prediction does not serve, demoted ones included. The activation,
+The cached output is already every position's output outside the
+search's box of changed positions, so only the box is built, in its own
+contiguous array: one column gather writes the predictions, and the
+residual GEMM's output, the convolved residuals of the positions the
+field's tap-major columns list, is added over it in place. The fallback
+then overwrites every box position the prediction does not serve,
+demoted ones included. A box of the whole grid becomes the cached output
+as it is; any other box is copied into the cached output in place, as
+the last step, which is safe because the layer never hands its cached
+output out. The activation,
 when configured, is applied after reconstruction so the next layer
 always sees true post-activation features; the cache keeps
 pre-activation values because only those decompose linearly.
@@ -48,6 +51,7 @@ from .tensors import (
 
 
 def _identity(x: np.ndarray) -> np.ndarray:
+    # a copy: the array handed in is the cached output, updated in place later
     return x.copy()
 
 
@@ -83,6 +87,9 @@ class LayerCache:
     after a non-key frame, the plane its search and fallback read, which
     the next frame's search reads as its reference plane; after a key
     frame, an unpadded copy. ``prev_input`` is its read-only interior.
+    ``prev_output`` belongs to the layer alone: no call returns it (every
+    activation returns a new array), because a non-key frame whose box
+    covers part of the grid updates it in place.
     """
 
     plane: np.ndarray
@@ -226,9 +233,9 @@ class MotionCompLayer:
         carries it. Unmatched positions, and matched positions whose
         prediction would fall outside the output grid, are computed densely
         with bias and charged as unmatched work. Positions outside the
-        field's box are matched copies at vector (0, 0): the output starts
-        as a copy of the cached output, and only the box is worked on; a box
-        of the whole grid needs no copy, since every box position is written.
+        field's box are matched copies at vector (0, 0), which the cached
+        output already holds, so only the box is worked on, in a new
+        C-contiguous ``(C_out, box_h, box_w)`` array.
 
         One take writes every box position's prediction. The residual GEMM
         turns the field's columns into the convolved residuals, scaled by
@@ -238,7 +245,10 @@ class MotionCompLayer:
         adding -0.0 leaves a float unchanged, so a position with nothing
         kept is a pure copy, -0.0 included. The fallback then overwrites
         every position the prediction does not serve, unmatched and demoted
-        ones.
+        ones. A box of the whole grid is then the new cached output; any
+        other box is copied into the cached output in place. Nothing before
+        that copy writes to the cache, so a call that raises leaves it as
+        it was.
 
         ``x`` is validated and zero-padded once, by the search margin. The
         search reads that plane against the cached one without validating
@@ -279,13 +289,10 @@ class MotionCompLayer:
         demoted = int(np.count_nonzero(field.matched & ~in_grid))
         matched = int(np.count_nonzero(served)) + out_h * out_w - served.size
 
-        # positions outside the field's box keep the cached output; one whole
-        # copy beats copying only the outside, slab by slab. The prediction or
-        # the fallback below writes every box position, so a box of the whole
-        # grid needs no copy.
+        # the box is built in its own contiguous array: the prediction or the
+        # fallback below writes every box position
         prev = self.cache.prev_output
-        out = np.empty_like(prev) if served.shape == (out_h, out_w) else prev.copy()
-        box = out[:, i0:i1, j0:j1]
+        box = np.empty((c_out, box_h, box_w), np.float32)
         if ledger is not None:
             ledger.add_pred_bytes(4 * c_out * matched)
 
@@ -320,6 +327,13 @@ class MotionCompLayer:
             cols = unfold_blocks(plane, spec.kernel_size, s, at=(fi + i0 + r, fj + j0 + r))
             box[:, fi, fj] = self._affine(dense_rows(cols.T, spec, ledger, "unmatched"))
 
+        # positions outside the box keep the cached output, which no caller
+        # holds, so a partial box is written back into it in place
+        if served.shape == (out_h, out_w):
+            out = box
+        else:
+            out = prev
+            out[:, i0:i1, j0:j1] = box
         self.cache = LayerCache(plane=plane, margin=margin, prev_output=out)
         self.last_stats = NonKeyStats(
             positions=out_h * out_w,

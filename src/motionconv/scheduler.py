@@ -115,7 +115,6 @@ class LayerFrameRecord:
     layer: int
     is_key: bool
     flops: dict[str, int]
-    pred_bytes: int
     spec: ConvSpec
     out_h: int
     out_w: int
@@ -175,7 +174,6 @@ def run_sequence(net: Network, frames: Iterable[FeatureMap], config: GopConfig) 
                     layer=li,
                     is_key=is_key,
                     flops=sub.counts(),
-                    pred_bytes=sub.pred_bytes_moved,
                     spec=layer.spec,
                     out_h=out_h,
                     out_w=out_w,

@@ -10,7 +10,6 @@ recovery assertions are well posed.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import asdict, dataclass
 
@@ -43,8 +42,18 @@ class SceneSpec:
         if min(self.height, self.width, self.channels, self.frame_count) < 1 or self.seed < 0:
             raise ValueError("dims, channels and frame_count must be >= 1, seed >= 0")
         amp = self.noise_amplitude
-        if not isinstance(amp, numbers.Real) or isinstance(amp, bool) or not 0 <= amp < math.inf:
-            raise ValueError(f"noise_amplitude must be a finite real >= 0, got {amp!r}")
+        # generate draws the noise in float64 and casts it to float32, so an
+        # amplitude past float32's largest value overflows one or the other
+        amp_max = float(np.finfo(np.float32).max)
+        ok = isinstance(amp, numbers.Real) and not isinstance(amp, bool)
+        try:
+            ok = ok and 0 <= float(amp) <= amp_max
+        except OverflowError:  # an int or Fraction past float64's range
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"noise_amplitude must be a real in [0, {amp_max:.7g}], got {amp!r}"
+            )
         dx, dy = self.motion
         span = self.frame_count - 1
         if abs(dx) * span >= self.width or abs(dy) * span >= self.height:

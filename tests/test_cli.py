@@ -70,7 +70,11 @@ class TestRun:
                   # the JSON reader takes NaN and Infinity; a noise_mix scene
                   # with either once died in the noise generator, uncaught
                   {"noise_amplitude": float("nan")}, {"noise_amplitude": float("inf")},
-                  {"noise_amplitude": True}]
+                  {"noise_amplitude": True},
+                  # past float32's largest value, each once an uncaught
+                  # OverflowError or an overflow warning in the generator
+                  {"noise_amplitude": 9e307}, {"noise_amplitude": 10**400},
+                  {"noise_amplitude": 1e307}]
     )
     def test_non_integer_scene_field_is_usage_error(self, tmp_path, capsys, entry):
         scene = json.dumps({**json.loads(STATIC_SCENE), **entry})

@@ -644,26 +644,44 @@ def test_search_box_matches_loop_and_whole_grid(scene, data):
 @settings(deadline=None, max_examples=25)
 @given(data=st.data(), compensate=st.booleans())
 def test_forward_nonkey_box_matches_whole_grid(scene, data, compensate):
-    # outside the box the layer copies the cached output; outputs, ledgers
-    # and stats (search alpha included) are those of the whole-grid search,
-    # bit for bit, and the outputs those of the per-position reference
+    # a box of part of the grid is written into the cached output in place,
+    # and every position outside it keeps its cached bits, -0.0 included;
+    # outputs, ledgers and stats (search alpha included) are those of the
+    # whole-grid search, bit for bit, and the outputs those of the
+    # per-position reference
     cur, ref, spec, params = data.draw(box_scenes(scene))
     forward_nonkey_as_loop(spec, params, cur, ref)
+    post_scale = np.full(2, 1.5, np.float32)
 
     def run():
         layer = MotionCompLayer(spec, params, activation="relu", compensate=compensate,
-                                post_scale=np.full(2, 1.5, np.float32))
+                                post_scale=post_scale)
         layer.forward_key(ref, FlopsLedger())
+        prev = layer.cache.prev_output
+        prev[:, ::2, ::3] = -0.0
+        before = prev.copy()
         led = FlopsLedger()
         out = layer.forward_nonkey(cur, led)
-        return out, led, layer
+        return out, led, layer, prev, before
 
-    out, led, layer = run()
+    out, led, layer, prev, before = run()
     with pytest.MonkeyPatch.context() as mp:
         whole_grid_box(mp)
-        whole_out, whole_led, whole_layer = run()
-    np.testing.assert_array_equal(out, whole_out)
-    np.testing.assert_array_equal(layer.cache.prev_output, whole_layer.cache.prev_output)
+        whole_out, whole_led, whole_layer, whole_prev, _ = run()
+    (i0, j0), (box_h, box_w) = touched_box(cur, ref, spec)
+    outside = np.ones(prev.shape[1:], bool)
+    outside[i0 : i0 + box_h, j0 : j0 + box_w] = False
+    assert (layer.cache.prev_output is prev) == (box_h * box_w < outside.size)
+    assert whole_layer.cache.prev_output is not whole_prev
+    np.testing.assert_array_equal(prev[:, outside].view(np.uint32),
+                                  before[:, outside].view(np.uint32))
+    np.testing.assert_array_equal(out.view(np.uint32), whole_out.view(np.uint32))
+    np.testing.assert_array_equal(layer.cache.prev_output.view(np.uint32),
+                                  whole_layer.cache.prev_output.view(np.uint32))
+    grid = full_grid(search(cur, ref, spec, params, None))
+    want = loop_forward_nonkey(spec, ref, before, cur, grid.mv_dy, grid.mv_dx, grid.matched,
+                               params.threshold if compensate else np.inf, post_scale)
+    np.testing.assert_allclose(layer.cache.prev_output, want, atol=1e-5, rtol=0)
     assert led.counts() == whole_led.counts()
     assert led.pred_bytes_moved == whole_led.pred_bytes_moved
     assert layer.last_stats == whole_layer.last_stats

@@ -280,6 +280,74 @@ class TestForwardNonKey:
         assert led.pred_bytes_moved == 4 * spec.out_channels * out_h * out_w
 
 
+def patch_frames(rng, count, c=3, size=16):
+    """A reference frame, then ``count`` frames that each redraw one 4x4
+    patch, two rows lower each time: every non-key box covers only part of
+    the grid."""
+    ref = rng.random((c, size, size), dtype=np.float32)
+    frames, x = [], ref
+    for t in range(count):
+        x = x.copy()
+        x[:, 2 + 2 * t : 6 + 2 * t, 3:7] = rng.random((c, 4, 4), dtype=np.float32)
+        frames.append(x)
+    return ref, frames
+
+
+class TestInPlaceCache:
+    """A box of part of the grid is written into the cached output in place,
+    so the cached output must never be handed out, and a call that fails
+    must leave it as it was."""
+
+    @pytest.mark.parametrize("activation", ["none", "relu", "leaky_relu"])
+    def test_returned_outputs_never_alias_the_cache(self, activation):
+        rng = np.random.default_rng(40)
+        layer = MotionCompLayer(make_spec(rng), MotionParams(threshold=0.01),
+                                activation=activation)
+        ref, frames = patch_frames(rng, 4)
+        outs = [layer.forward_key(ref, FlopsLedger())]
+        for x in frames:
+            prev = layer.cache.prev_output
+            outs.append(layer.forward_nonkey(x, FlopsLedger()))
+            assert layer.cache.prev_output is prev  # a partial box, updated in place
+            assert not any(np.shares_memory(o, layer.cache.prev_output) for o in outs)
+        kept = [o.copy() for o in outs]
+        for x in frames[::-1]:
+            layer.forward_nonkey(x, FlopsLedger())
+        for out, want in zip(outs, kept):
+            np.testing.assert_array_equal(out.view(np.uint32), want.view(np.uint32))
+            assert not np.shares_memory(out, layer.cache.prev_output)
+
+    @pytest.mark.parametrize("failure", ["non-finite", "shape-drift", "fallback"])
+    def test_failed_call_leaves_the_cache_intact(self, failure, monkeypatch):
+        # match_max_density 0 matches only empty residuals, so the redrawn
+        # patch falls back to dense positions; the fallback's gather failing
+        # is a failure after the box is built
+        rng = np.random.default_rng(41)
+        layer = MotionCompLayer(make_spec(rng), MotionParams(match_max_density=0.0))
+        ref, (x1, x2) = patch_frames(rng, 2)
+        layer.forward_key(ref, FlopsLedger())
+        layer.forward_nonkey(x1, FlopsLedger())
+        cache = layer.cache
+        prev = cache.prev_output
+        prev[:, ::2] = -0.0
+        before = prev.copy()
+        if failure == "non-finite":
+            x2[0, 0, 0] = np.nan
+            error = ValueError
+        elif failure == "shape-drift":
+            x2 = x2[:, :-1]
+            error = LayerError
+        else:
+            def failing(*args, **kwargs):
+                raise RuntimeError("gather failed")
+            monkeypatch.setattr(layer_mod, "unfold_blocks", failing)
+            error = RuntimeError
+        with pytest.raises(error):
+            layer.forward_nonkey(x2, FlopsLedger())
+        assert layer.cache is cache and cache.prev_output is prev
+        np.testing.assert_array_equal(prev.view(np.uint32), before.view(np.uint32))
+
+
 class TestAffineAndActivation:
     def test_affine_folding_lossless(self):
         rng = np.random.default_rng(17)

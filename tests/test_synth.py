@@ -68,11 +68,23 @@ class TestGenerate:
         ("motion", (0.5, 0)), ("block", (0, 0, 8.5, 8)),
         ("noise_amplitude", float("nan")), ("noise_amplitude", float("inf")),
         ("noise_amplitude", -0.1), ("noise_amplitude", True), ("noise_amplitude", "0.1"),
+        # past float32's largest value: the draw's range overflows, the int
+        # does not convert to float, or the float32 cast overflows
+        ("noise_amplitude", 9e307), ("noise_amplitude", 1e307),
+        pytest.param("noise_amplitude", 10**400, id="noise_amplitude-int10**400"),
     ])
     def test_rejects_non_integer_or_negative_seed_fields(self, name, value):
         with pytest.raises(ValueError, match=name):
             SceneSpec(**{"kind": "static", "height": 8, "width": 8, "channels": 1,
                          "frame_count": 3, name: value})
+
+    def test_largest_float32_amplitude_generates_without_overflow(self):
+        amp = float(np.finfo(np.float32).max)
+        spec = SceneSpec(kind="noise_mix", height=8, width=8, channels=1,
+                         frame_count=2, noise_amplitude=amp)
+        for frame in generate(spec):
+            assert frame.dtype == np.float32
+            assert frame.min() >= 0.0 and frame.max() <= 1.0
 
     def test_values_stay_in_unit_range(self):
         spec = SceneSpec(kind="noise_mix", height=8, width=8, channels=2,
