@@ -6,9 +6,13 @@ Subcommands:
   verify  four-setting ablation harness with pass/fail matrix
   synth   generate a seeded scene and export it as a raw Bayer file
 
-Defaults mirror the main operating point: GOP length 12, residual
-threshold 0.01, search range 1. Exit codes: 0 success, 1 assertion or
-invariant failure, 2 usage error, 3 I/O error.
+Defaults mirror the main operating point: GOP length 12 (``GopConfig``),
+residual threshold 0.01 and search range 1 (``MotionParams``). The search
+flags are stored under ``MotionParams`` field names, and ``_build_network``
+is the one place that sets them on the layers, with a command's own values
+over the flags. ``sweep`` and ``verify`` measure output error with the
+scheduler's dense oracle. Exit codes: 0 success, 1 assertion or invariant
+failure, 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +28,10 @@ import numpy as np
 from .analysis import build_report, write_report_csv, write_report_json
 from .bayer import PATTERNS, load_raw_sequence, mosaic, pack, save_raw_sequence
 from .layer import MotionCompLayer
+from .motion import MotionParams
 from .scheduler import GopConfig, Network, run_sequence
 from .synth import SceneSpec, generate, random_conv_spec
 
-DEFAULT_GOP = 12
-DEFAULT_TAU = 0.01
 DEFAULT_VERIFY_SCENE = SceneSpec(
     kind="noise_mix",
     height=48,
@@ -79,17 +82,15 @@ def _load_scene(arg: str, seed: int) -> SceneSpec:
         spec = SceneSpec.from_json(text)
     except (ValueError, TypeError, KeyError) as exc:
         raise UsageError(f"bad scene spec: {exc}") from exc
-    if "seed" not in json.loads(text):
-        spec = SceneSpec.from_json(json.dumps({**json.loads(text), "seed": seed}))
-    return spec
+    return spec if "seed" in json.loads(text) else replace(spec, seed=seed)
 
 
 def _resolve_frames(args) -> tuple[list[np.ndarray], dict]:
     """Returns the frame list and the config fragment describing the input."""
-    if getattr(args, "scene", None):
+    if args.scene:
         spec = _load_scene(args.scene, args.seed)
         return generate(spec), {"scene": json.loads(spec.to_json())}
-    if getattr(args, "input", None):
+    if args.input:
         if not args.sidecar:
             raise UsageError("--input requires --sidecar")
         raw = list(load_raw_sequence(args.input, args.sidecar))
@@ -105,19 +106,6 @@ def _resolve_frames(args) -> tuple[list[np.ndarray], dict]:
     raise UsageError("provide --scene or --input/--sidecar")
 
 
-def _motion_overrides(args) -> dict:
-    ov = {}
-    if args.range is not None:
-        ov["search_range"] = args.range
-    if args.tau is not None:
-        ov["threshold"] = args.tau
-    if args.early_stop is not None:
-        ov["early_stop_density"] = args.early_stop
-    if args.beta_max is not None:
-        ov["match_max_density"] = args.beta_max
-    return ov
-
-
 def _default_network(in_channels: int, seed: int) -> Network:
     rng = np.random.default_rng(seed + 1)
     layers = [
@@ -127,7 +115,9 @@ def _default_network(in_channels: int, seed: int) -> Network:
     return Network(layers)
 
 
-def _build_network(args, in_channels: int) -> tuple[Network, dict]:
+def _build_network(args, in_channels: int, **params) -> tuple[Network, dict]:
+    """The ``--net`` network, or the seeded default one, with its search
+    parameters overridden by the flags given, and ``params`` over both."""
     if args.net:
         try:
             net = Network.from_json(args.net)
@@ -142,10 +132,11 @@ def _build_network(args, in_channels: int) -> tuple[Network, dict]:
             f"network expects {net.layers[0].spec.in_channels} input channels, "
             f"input provides {in_channels}"
         )
-    ov = _motion_overrides(args)
-    if ov:
+    flags = {f.name: getattr(args, f.name) for f in fields(MotionParams)}
+    params = {k: v for k, v in flags.items() if v is not None} | params
+    if params:
         for layer in net.layers:
-            layer.params = layer.params.updated(**ov)
+            layer.params = layer.params.updated(**params)
     return net, {
         "net": net_desc,
         "layers": [
@@ -216,14 +207,8 @@ def cmd_sweep(args) -> int:
     frames, input_cfg = _resolve_frames(args)
     rows = []
     for value in values:
-        net, net_cfg = _build_network(args, frames[0].shape[0])
-        gop = args.gop
-        if args.axis == "gop":
-            gop = value
-        else:
-            key = "threshold" if args.axis == "threshold" else "search_range"
-            for layer in net.layers:
-                layer.params = layer.params.updated(**{key: value})
+        gop, params = (value, {}) if args.axis == "gop" else (args.gop, {args.axis: value})
+        net, _ = _build_network(args, frames[0].shape[0], **params)
         result = run_sequence(net, frames, GopConfig(gop_length=gop, oracle=True))
         report = build_report(result, {"command": "sweep", "axis": args.axis, "value": value})
         rows.append(
@@ -289,40 +274,25 @@ def _worst_gop_bound_ratio(errors, gop: int, bound: float) -> float:
 
 
 def cmd_verify(args) -> int:
-    if getattr(args, "scene", None) or getattr(args, "input", None):
-        frames, input_cfg = _resolve_frames(args)
+    if args.scene or args.input:
+        frames = _resolve_frames(args)[0]
     else:
-        spec = SceneSpec.from_json(
-            json.dumps({**json.loads(DEFAULT_VERIFY_SCENE.to_json()), "seed": args.seed})
-        )
-        frames, input_cfg = generate(spec), {"scene": json.loads(spec.to_json())}
-    tau = args.tau if args.tau is not None else DEFAULT_TAU
+        frames = generate(replace(DEFAULT_VERIFY_SCENE, seed=args.seed))
+    tau = MotionParams.threshold if args.threshold is None else args.threshold
 
-    def run_setting(gop: int, threshold: float | None, compensate: bool):
-        net, _ = _build_network(args, frames[0].shape[0])
+    # Setting 1, all-key dense, is the oracle each run measures against, and
+    # its cost is each run's baseline.
+    config = GopConfig(gop_length=args.gop, oracle=True)
+    settings = {}
+    for setting, threshold, compensate in ((2, tau, False), (3, 0.0, True), (4, tau, True)):
+        net, _ = _build_network(args, frames[0].shape[0], threshold=threshold)
         for layer in net.layers:
             layer.compensate = compensate
-            if threshold is not None:
-                layer.params = layer.params.updated(threshold=threshold)
-        result = run_sequence(net, frames, GopConfig(gop_length=gop))
-        return result, net
-
-    ref_result, net0 = run_setting(gop=1, threshold=None, compensate=True)
-    settings = {
-        2: run_setting(args.gop, tau, compensate=False)[0],
-        3: run_setting(args.gop, 0.0, compensate=True)[0],
-        4: run_setting(args.gop, tau, compensate=True)[0],
-    }
-
-    def frame_errs(result) -> list[float]:
-        return [float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
-                for a, b in zip(result.outputs, ref_result.outputs)]
-
-    per_frame = {s: frame_errs(r) for s, r in settings.items()}
-    errs = {s: max(e) for s, e in per_frame.items()}
-    flops = {1: ref_result.ledger.total, **{s: r.ledger.total for s, r in settings.items()}}
-    bound = _error_bound_after_threshold(net0, tau)
-    ratio4 = _worst_gop_bound_ratio(per_frame[4], args.gop, bound)
+        settings[setting] = run_sequence(net, frames, config)
+    errs = {s: max(r.oracle_max_abs) for s, r in settings.items()}
+    flops = {1: settings[4].baseline_total, **{s: r.ledger.total for s, r in settings.items()}}
+    bound = _error_bound_after_threshold(net, tau)  # every setting has the same weights
+    ratio4 = _worst_gop_bound_ratio(settings[4].oracle_max_abs, args.gop, bound)
 
     checks = [
         ("setting 3 lossless vs setting 1 (<= 1e-4)", errs[3] <= 1e-4, f"max_err={errs[3]:.3e}"),
@@ -371,12 +341,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sidecar", help="JSON sidecar for --input")
     p.add_argument("--scene", help="scene spec: JSON file path or inline JSON")
     p.add_argument("--net", help="network description JSON")
-    p.add_argument("--gop", type=_GOP, default=DEFAULT_GOP, help="GOP length (default 12)")
-    p.add_argument("--tau", type=_TAU, default=None, help="residual threshold (default 0.01)")
-    p.add_argument("--range", type=_RANGE, default=None, help="search range in grid steps (default 1)")
-    p.add_argument("--early-stop", type=_EARLY_STOP, default=None, dest="early_stop",
+    p.add_argument("--gop", type=_GOP, default=GopConfig.gop_length, help="GOP length (default 12)")
+    # the search flags keep MotionParams field names; None leaves a layer's own
+    p.add_argument("--tau", type=_TAU, dest="threshold", metavar="TAU",
+                   help="residual threshold (default 0.01)")
+    p.add_argument("--range", type=_RANGE, dest="search_range", metavar="RANGE",
+                   help="search range in grid steps (default 1)")
+    p.add_argument("--early-stop", type=_EARLY_STOP, dest="early_stop_density", metavar="EARLY_STOP",
                    help="early-stop density trigger; negative disables (default 0.3)")
-    p.add_argument("--beta-max", type=_DENSITY, default=None, dest="beta_max",
+    p.add_argument("--beta-max", type=_DENSITY, dest="match_max_density", metavar="BETA_MAX",
                    help="densest residual still matched (default 0.9)")
     p.add_argument("--oracle", action="store_true", help="also run the dense pipeline and report errors")
     p.add_argument("--out", default="motionconv_out", help="output directory (default motionconv_out)")

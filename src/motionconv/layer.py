@@ -245,10 +245,11 @@ class MotionCompLayer:
         adding -0.0 leaves a float unchanged, so a position with nothing
         kept is a pure copy, -0.0 included. The fallback then overwrites
         every position the prediction does not serve, unmatched and demoted
-        ones. A box of the whole grid is then the new cached output; any
-        other box is copied into the cached output in place. Nothing before
-        that copy writes to the cache, so a call that raises leaves it as
-        it was.
+        ones. A box holding a non-finite value raises, as ``conv2d`` does
+        on a key frame. A box of the whole grid is then the new cached
+        output; any other box is copied into the cached output in place.
+        Nothing before that copy writes to the cache, so a call that raises
+        leaves it as it was.
 
         ``x`` is validated and zero-padded once, by the search margin. The
         search reads that plane against the cached one without validating
@@ -326,6 +327,8 @@ class MotionCompLayer:
             r = self.params.search_range
             cols = unfold_blocks(plane, spec.kernel_size, s, at=(fi + i0 + r, fj + j0 + r))
             box[:, fi, fj] = self._affine(dense_rows(cols.T, spec, ledger, "unmatched"))
+        if not np.isfinite(box).all():
+            raise ValueError("convolution produced non-finite values")
 
         # positions outside the box keep the cached output, which no caller
         # holds, so a partial box is written back into it in place

@@ -51,9 +51,13 @@ class SceneSpec:
         except OverflowError:  # an int or Fraction past float64's range
             ok = False
         if not ok:
-            raise ValueError(
-                f"noise_amplitude must be a real in [0, {amp_max:.7g}], got {amp!r}"
-            )
+            try:
+                got = repr(amp)
+            except ValueError:  # an int past Python's int-to-str digit limit
+                got = f"an int of {amp.bit_length()} bits"
+            if len(got) > 40:
+                got = f"{got[:20]}... ({len(got)} characters)"
+            raise ValueError(f"noise_amplitude must be a real in [0, {amp_max:.7g}], got {got}")
         dx, dy = self.motion
         span = self.frame_count - 1
         if abs(dx) * span >= self.width or abs(dy) * span >= self.height:

@@ -1,11 +1,16 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import motionconv.cli as cli
 from motionconv.bayer import load_raw_sequence
 from motionconv.cli import main
+from motionconv.scheduler import GopConfig, run_sequence
+from motionconv.synth import generate, random_conv_spec
+from motionconv.tensors import save_weights
 
 STATIC_SCENE = json.dumps(
     {"kind": "static", "height": 24, "width": 24, "channels": 3, "frame_count": 12}
@@ -18,6 +23,35 @@ MOVING_SCENE = json.dumps(
 
 def read_report(out_dir):
     return json.loads((out_dir / "report.json").read_text())
+
+
+def write_two_layer_net(tmp_path, params) -> str:
+    """A 3->6->6 network file whose layers both carry ``params``."""
+    rng = np.random.default_rng(12)
+    save_weights(random_conv_spec(rng, 3, 6, 3, 1), tmp_path / "l0.bin")
+    save_weights(random_conv_spec(rng, 6, 6, 3, 1), tmp_path / "l1.bin")
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(
+        {"layers": [{"weights": f"l{i}.bin", "params": params} for i in range(2)]}
+    ))
+    return str(net_path)
+
+
+def record_runs(monkeypatch) -> list[dict]:
+    """Wraps ``cli.run_sequence``; each call appends its GOP config and the
+    search parameters and compensation switch of every layer it was given."""
+    calls = []
+
+    def recording(net, frames, config):
+        calls.append({
+            "config": config,
+            "params": [layer.params for layer in net.layers],
+            "compensate": [layer.compensate for layer in net.layers],
+        })
+        return run_sequence(net, frames, config)
+
+    monkeypatch.setattr(cli, "run_sequence", recording)
+    return calls
 
 
 class TestRun:
@@ -276,6 +310,25 @@ class TestSweep:
         assert main(["sweep", "--scene", STATIC_SCENE, "--axis", "gop",
                      "--values", "4", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("axis, values, flags, want", [
+        ("threshold", "0,0.05", ["--tau", "0.3"], [0.0, 0.05]),
+        ("search_range", "0,2", ["--range", "1"], [0, 2]),
+    ])
+    def test_axis_value_reaches_every_layer_over_the_flag(self, tmp_path, monkeypatch,
+                                                         axis, values, flags, want):
+        # the network file sets both parameters, the flag overrides the file,
+        # and the swept value overrides the flag
+        net = write_two_layer_net(tmp_path, {"threshold": 0.5, "search_range": 3})
+        calls = record_runs(monkeypatch)
+        assert main(["sweep", "--scene", MOVING_SCENE, "--net", net, "--axis", axis,
+                     "--values", values, "--beta-max", "0.6", *flags,
+                     "--out", str(tmp_path / "o")]) == 0
+        assert [[getattr(p, axis) for p in call["params"]] for call in calls] == [
+            [v, v] for v in want
+        ]
+        assert all(p.match_max_density == 0.6 for call in calls for p in call["params"])
+        assert all(call["config"] == GopConfig(12, oracle=True) for call in calls)
+
 
 class TestVerify:
     def test_default_scene_passes_all_settings(self, capsys):
@@ -336,6 +389,67 @@ class TestVerify:
         # the "setting 2 degrades" assertion must fail with exit code 1
         assert main(["verify", "--scene", STATIC_SCENE]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @staticmethod
+    def all_key_reference(argv) -> list[str]:
+        """The setting lines and worst bound ratio ``verify`` printed when it
+        measured error against its own all-key run: setting 1's outputs as
+        the reference, and its ledger total as its FLOPs."""
+        args = cli.build_parser().parse_args(argv)
+        frames = generate(replace(cli.DEFAULT_VERIFY_SCENE, seed=args.seed))
+        tau = 0.01 if args.threshold is None else args.threshold
+
+        def run_setting(gop, threshold, compensate):
+            net, _ = cli._build_network(args, frames[0].shape[0])
+            for layer in net.layers:
+                layer.compensate = compensate
+                if threshold is not None:
+                    layer.params = layer.params.updated(threshold=threshold)
+            return run_sequence(net, frames, GopConfig(gop_length=gop)), net
+
+        ref, net = run_setting(1, None, True)
+        settings = {2: run_setting(args.gop, tau, False)[0],
+                    3: run_setting(args.gop, 0.0, True)[0],
+                    4: run_setting(args.gop, tau, True)[0]}
+
+        def frame_errs(result):
+            return [float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
+                    for a, b in zip(result.outputs, ref.outputs)]
+
+        per_frame = {s: frame_errs(r) for s, r in settings.items()}
+        errs = {s: max(e) for s, e in per_frame.items()}
+        flops = {1: ref.ledger.total, **{s: r.ledger.total for s, r in settings.items()}}
+        bound = cli._error_bound_after_threshold(net, tau)
+        ratio4 = cli._worst_gop_bound_ratio(per_frame[4], args.gop, bound)
+        return [
+            f"setting 1 (all-key dense):            flops={flops[1]}",
+            f"setting 2 (no compensation):          flops={flops[2]} max_err={errs[2]:.3e}",
+            f"setting 3 (compensation, tau=0):      flops={flops[3]} max_err={errs[3]:.3e}",
+            f"setting 4 (compensation, tau={tau:g}):  flops={flops[4]} max_err={errs[4]:.3e}",
+            f"worst ratio={ratio4:.3f}]",
+        ]
+
+    @pytest.mark.parametrize("argv", [["verify", "--seed", "3"], ["verify", "--seed", "5"],
+                                      ["verify", "--tau", "0", "--seed", "4"]])
+    def test_oracle_error_and_baseline_match_an_all_key_run(self, capsys, argv):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        *settings, ratio = self.all_key_reference(argv)
+        assert lines[:4] == settings
+        assert lines[-1].endswith(ratio)
+
+    def test_search_flags_reach_every_setting(self, monkeypatch):
+        calls = record_runs(monkeypatch)
+        main(["verify", "--seed", "1", "--gop", "6", "--range", "2", "--early-stop", "-1",
+              "--beta-max", "0.5", "--tau", "0.02"])
+        assert [call["compensate"] for call in calls] == [[False] * 2, [True] * 2, [True] * 2]
+        assert [[p.threshold for p in call["params"]] for call in calls] == [
+            [0.02] * 2, [0.0] * 2, [0.02] * 2
+        ]
+        for call in calls:
+            assert call["config"] == GopConfig(6, oracle=True)
+            assert all((p.search_range, p.early_stop_density, p.match_max_density)
+                       == (2, -1.0, 0.5) for p in call["params"])
 
 
 class TestSynth:

@@ -317,7 +317,7 @@ class TestInPlaceCache:
             np.testing.assert_array_equal(out.view(np.uint32), want.view(np.uint32))
             assert not np.shares_memory(out, layer.cache.prev_output)
 
-    @pytest.mark.parametrize("failure", ["non-finite", "shape-drift", "fallback"])
+    @pytest.mark.parametrize("failure", ["non-finite", "overflow", "shape-drift", "fallback"])
     def test_failed_call_leaves_the_cache_intact(self, failure, monkeypatch):
         # match_max_density 0 matches only empty residuals, so the redrawn
         # patch falls back to dense positions; the fallback's gather failing
@@ -334,6 +334,11 @@ class TestInPlaceCache:
         if failure == "non-finite":
             x2[0, 0, 0] = np.nan
             error = ValueError
+        elif failure == "overflow":
+            # finite inputs whose convolution overflows float32 in the box,
+            # which a key frame's conv2d rejects
+            x2[:, 4:8, 3:7] = 3e38
+            error = ValueError
         elif failure == "shape-drift":
             x2 = x2[:, :-1]
             error = LayerError
@@ -342,7 +347,8 @@ class TestInPlaceCache:
                 raise RuntimeError("gather failed")
             monkeypatch.setattr(layer_mod, "unfold_blocks", failing)
             error = RuntimeError
-        with pytest.raises(error):
+        with pytest.raises(error, match="non-finite" if error is ValueError else None), \
+                np.errstate(over="ignore"):
             layer.forward_nonkey(x2, FlopsLedger())
         assert layer.cache is cache and cache.prev_output is prev
         np.testing.assert_array_equal(prev.view(np.uint32), before.view(np.uint32))

@@ -72,11 +72,26 @@ class TestGenerate:
         # does not convert to float, or the float32 cast overflows
         ("noise_amplitude", 9e307), ("noise_amplitude", 1e307),
         pytest.param("noise_amplitude", 10**400, id="noise_amplitude-int10**400"),
+        # too long for repr: once Python's own digit-limit error, naming no field
+        pytest.param("noise_amplitude", 10**5000, id="noise_amplitude-int10**5000"),
     ])
     def test_rejects_non_integer_or_negative_seed_fields(self, name, value):
         with pytest.raises(ValueError, match=name):
             SceneSpec(**{"kind": "static", "height": 8, "width": 8, "channels": 1,
                          "frame_count": 3, name: value})
+
+    @pytest.mark.parametrize("value, got", [
+        (-0.1, "got -0.1"),
+        (10**400, "got 10000000000000000000... (401 characters)"),
+        (10**5000, "got an int of 16610 bits"),
+    ], ids=["negative", "int10**400", "int10**5000"])
+    def test_bad_amplitude_message_is_short(self, value, got):
+        with pytest.raises(ValueError) as info:
+            SceneSpec(kind="static", noise_amplitude=value)
+        message = str(info.value)
+        assert message.startswith("noise_amplitude must be a real in [0, 3.402823e+38]")
+        assert message.endswith(got)
+        assert len(message) < 100
 
     def test_largest_float32_amplitude_generates_without_overflow(self):
         amp = float(np.finfo(np.float32).max)
