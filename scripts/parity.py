@@ -6,8 +6,11 @@ For each seed, one benchmark pass of ``pan_noise`` and one of
 ``block_raw_lossless`` runs in each checkout, and the two are compared:
 the sha256 of every output's ``uint32`` view (with its dtype and shape),
 the FLOPs ledger, the CLI workload's ``report.json`` digest, and the
-``me`` charge of each search call in order. The first difference is
-printed and the exit code is 1; 0 means every pass was equal.
+``me`` charge of each search call in order. For the same seed, the CLI
+also runs ``run`` (GOP 4, oracle, JSON and CSV) and one ``sweep`` on a
+small seeded scene, and the exit code and sha256 of every file each
+writes are compared. The first difference is printed and the exit code
+is 1; 0 means every pass and report was equal.
 
 Each checkout runs in its own subprocess that imports the program from its
 own ``src/`` and loads its ``perfbench/workloads.py`` read-only (no
@@ -18,8 +21,10 @@ thread as the benchmark runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -30,6 +35,14 @@ from pathlib import Path
 WORKLOADS = ("pan_noise", "block_raw_lossless")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 RESULT = "parity.json"
+SCENE = json.dumps({"kind": "noise_mix", "height": 24, "width": 24, "channels": 3,
+                    "frame_count": 8, "motion": [1, 0], "noise_amplitude": 0.02})
+# CLI commands whose written files are compared, each run with --scene SCENE
+# and the pass's --seed
+CLI_RUNS = {
+    "run": ["run", "--gop", "4", "--oracle", "--format", "both"],
+    "sweep": ["sweep", "--axis", "threshold", "--values", "0,0.02"],
+}
 
 
 def seed_range(text: str) -> range:
@@ -48,7 +61,7 @@ def worker(checkout: Path, seeds: range) -> None:
     ``RESULT`` in the working directory."""
     import numpy as np
     import motionconv
-    from motionconv import layer
+    from motionconv import cli, layer
 
     src = checkout / "src" / "motionconv"
     if Path(motionconv.__file__).resolve().parent != src:
@@ -88,7 +101,17 @@ def worker(checkout: Path, seeds: range) -> None:
                 "report": rec.report_digest,
                 "me": list(me_charges),
             })
-    Path(RESULT).write_text(json.dumps(passes))
+    layer.search = real_search
+    reports = {}
+    for seed in seeds:
+        for name, argv in CLI_RUNS.items():
+            where = f"{name} seed {seed}:"
+            with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+                reports[f"{where} exit"] = cli.main(
+                    [*argv, "--scene", SCENE, "--seed", str(seed), "--out", out])
+                for path in sorted(Path(out).iterdir()):
+                    reports[f"{where} {path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    Path(RESULT).write_text(json.dumps({"passes": passes, "reports": reports}))
 
 
 def seed_text(seeds: range) -> str:
@@ -127,6 +150,14 @@ def first_difference(base: list, head: list) -> str | None:
     return None
 
 
+def report_difference(base: dict, head: dict) -> str | None:
+    """The first CLI-written file (or exit code) whose value differs."""
+    for key in {**base, **head}:
+        if base.get(key) != head.get(key):
+            return f"{key} {base.get(key)} != {head.get(key)}"
+    return None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", nargs="?", type=Path, help="checkout to compare against")
@@ -158,11 +189,14 @@ def main(argv=None) -> int:
                 return 1
         base, head = (json.loads((w / RESULT).read_text()) for w in works)
 
-    diff = first_difference(base, head)
+    diff = (first_difference(base["passes"], head["passes"])
+            or report_difference(base["reports"], head["reports"]))
     if diff is not None:
         print(f"parity: differs at {diff}")
         return 1
-    print(f"parity: {len(head)} passes equal ({', '.join(WORKLOADS)}, seeds {seed_text(args.seeds)})")
+    print(f"parity: {len(head['passes'])} passes equal ({', '.join(WORKLOADS)}, "
+          f"seeds {seed_text(args.seeds)}); {len(head['reports'])} CLI exit codes and "
+          f"reports equal ({', '.join(CLI_RUNS)})")
     return 0
 
 

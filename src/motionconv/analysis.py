@@ -6,7 +6,12 @@ evaluated candidate, unmatched fallbacks cost (1 - alpha) of the dense
 cost, and residual compensation costs alpha * beta of it. Two candidate
 counts are always reported side by side: the exact grid-aligned
 (2R + 1)^2 and the stride-discounted (2R + 1)^2 / s^2 variant, which
-differ only for stride > 1.
+differ only for stride > 1. The model never reads the ledger, so the two
+can be reconciled against each other.
+
+A report is one summary (FLOPs per category, dense baseline, aggregate
+alpha, beta and search-alpha) taken over each group of run records: every
+layer, every frame, the non-key frames and the whole run.
 """
 
 from __future__ import annotations
@@ -17,16 +22,16 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
-from .ledger import FlopsLedger
+from .ledger import CATEGORIES
 from .scheduler import LayerFrameRecord, RunResult
+from .tensors import is_int, is_real
 
 __all__ = [
     "CostModel",
-    "FlopsLedger",
     "acceleration",
     "build_report",
     "candidate_count",
@@ -36,6 +41,13 @@ __all__ = [
     "write_report_csv",
     "write_report_json",
 ]
+
+# Non-key FLOPs categories, the ones the model predicts.
+NONKEY = ("me", "unmatched", "res")
+
+CSV_COLUMNS = ("frame", "is_key", "key_flops", "me_flops", "res_flops", "unmatched_flops",
+               "total_flops", "baseline_flops", "alpha", "beta",
+               "oracle_max_abs_err", "oracle_mean_abs_err")
 
 
 @dataclass(frozen=True)
@@ -53,15 +65,17 @@ class CostModel:
     beta: float = 0.0
 
     def __post_init__(self):
-        for name in ("kernel_size", "stride", "in_channels", "out_channels", "out_h", "out_w"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.search_range < 0:
-            raise ValueError(f"search_range must be >= 0, got {self.search_range}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
+        for name in ("kernel_size", "stride", "in_channels", "out_channels", "out_h", "out_w",
+                     "search_range"):
+            value, low = getattr(self, name), 0 if name == "search_range" else 1
+            if not is_int(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            if type(value) is not int:  # a numpy integer would wrap around in the FLOPs products
+                object.__setattr__(self, name, int(value))
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not is_real(value) or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be a real number in [0, 1], got {value!r}")
 
 
 def _round_half_up(x: float) -> int:
@@ -107,53 +121,38 @@ def acceleration(m: CostModel, paper_variant: bool = True) -> float:
     return m.alpha - m.alpha * m.beta - candidate_count(m, paper_variant) / m.out_channels
 
 
-def _aggregate_alpha_beta(records: list[LayerFrameRecord]) -> tuple[Optional[float], Optional[float]]:
-    nonkey = [r.stats for r in records if r.stats is not None]
-    if not nonkey:
-        return None, None
-    positions = sum(st.positions for st in nonkey)
-    matched = sum(st.matched for st in nonkey)
-    entries = sum(st.matched * st.block_size for st in nonkey)
-    nnz = sum(st.nnz_total for st in nonkey)
-    alpha = matched / positions if positions else None
-    beta = (nnz / entries) if entries else 0.0
-    return alpha, beta
-
-
-def _aggregate_search_alpha(records: list[LayerFrameRecord]) -> Optional[float]:
-    nonkey = [r.stats for r in records if r.stats is not None]
-    if not nonkey:
-        return None
-    return sum(st.search_alpha * st.positions for st in nonkey) / sum(st.positions for st in nonkey)
-
-
-def _cost_model(r: LayerFrameRecord, alpha: float, beta: float) -> CostModel:
+def _cost_model(r: LayerFrameRecord, alpha: float = 1.0, beta: float = 0.0) -> CostModel:
     """The record's layer geometry with the given match statistics."""
     return CostModel(r.spec.kernel_size, r.spec.stride, r.spec.in_channels, r.spec.out_channels,
                      r.out_h, r.out_w, r.search_range, alpha, beta)
 
 
-def _summary(recs: list[LayerFrameRecord]) -> tuple[dict[str, int], Optional[float], Optional[float]]:
-    """FLOPs per category plus their total, and the aggregate alpha and beta."""
-    flops = {cat: sum(r.flops[cat] for r in recs) for cat in ("key", "me", "res", "unmatched")}
+def _summary(recs: list[LayerFrameRecord]) -> tuple[dict[str, int], int, Optional[float],
+                                                     Optional[float], Optional[float]]:
+    """FLOPs per category plus their total, the dense baseline, and the
+    aggregate alpha, beta and search-alpha of the non-key records (``None``
+    when there are none)."""
+    flops = {cat: sum(r.flops[cat] for r in recs) for cat in CATEGORIES}
     flops["total"] = sum(flops.values())
-    return (flops, *_aggregate_alpha_beta(recs))
+    baseline = sum(r.conv_flops for r in recs)
+    stats = [r.stats for r in recs if r.stats is not None]
+    if not stats:
+        return flops, baseline, None, None, None
+    positions = sum(st.positions for st in stats)
+    entries = sum(st.matched * st.block_size for st in stats)
+    alpha = sum(st.matched for st in stats) / positions
+    beta = sum(st.nnz_total for st in stats) / entries if entries else 0.0
+    search_alpha = sum(st.search_alpha * st.positions for st in stats) / positions
+    return flops, baseline, alpha, beta, search_alpha
 
 
-def _model_totals(records: list[LayerFrameRecord], paper_variant: bool) -> dict:
-    me = unmatched = res = 0
-    nonkey_conv = 0
-    for r in records:
-        if r.stats is None:
-            continue
-        part = model_nonkey_flops(_cost_model(r, r.stats.alpha, r.stats.beta), paper_variant)
-        me += part["me"]
-        unmatched += part["unmatched"]
-        res += part["res"]
-        nonkey_conv += r.conv_flops
-    total = me + unmatched + res
-    out = {"me": me, "unmatched": unmatched, "res": res, "nonkey_total": total}
-    out["nonkey_acceleration"] = (1.0 - total / nonkey_conv) if nonkey_conv else None
+def _model_totals(models: list[CostModel], baseline: int, paper_variant: bool) -> dict:
+    """Model FLOPs summed over the non-key records' models, whose dense
+    cost is ``baseline``."""
+    parts = [model_nonkey_flops(m, paper_variant) for m in models]
+    out = {cat: sum(p[cat] for p in parts) for cat in NONKEY}
+    out["nonkey_total"] = total = sum(out.values())
+    out["nonkey_acceleration"] = (1.0 - total / baseline) if baseline else None
     return out
 
 
@@ -162,67 +161,38 @@ def build_report(result: RunResult, config: dict) -> dict:
     match statistics, and both analytical model variants."""
     if not result.records:
         raise ValueError("no frames processed; nothing to report")
-    records = result.records
-    n_layers = 1 + max(r.layer for r in records)
-    n_frames = 1 + max(r.frame for r in records)
-    by_layer: list[list[LayerFrameRecord]] = [[] for _ in range(n_layers)]
-    by_frame: list[list[LayerFrameRecord]] = [[] for _ in range(n_frames)]
-    for r in records:
-        by_layer[r.layer].append(r)
-        by_frame[r.frame].append(r)
+    by_layer: dict[int, list[LayerFrameRecord]] = {}
+    by_frame: dict[int, list[LayerFrameRecord]] = {}
+    for r in result.records:
+        by_layer.setdefault(r.layer, []).append(r)
+        by_frame.setdefault(r.frame, []).append(r)
 
     per_layer = []
-    for li, recs in enumerate(by_layer):
-        flops, alpha, beta = _summary(recs)
-        r0 = recs[0]
-        entry = {
-            "layer": li,
-            "kernel_size": r0.spec.kernel_size,
-            "stride": r0.spec.stride,
-            "padding": r0.spec.padding,
-            "in_channels": r0.spec.in_channels,
-            "out_channels": r0.spec.out_channels,
-            "out_h": r0.out_h,
-            "out_w": r0.out_w,
-            "search_range": r0.search_range,
-            "flops": flops,
-            "baseline_flops": r0.conv_flops * n_frames,
-            "alpha": alpha,
-            "beta": beta,
-        }
+    for li, recs in by_layer.items():
+        flops, baseline, alpha, beta, _ = _summary(recs)
+        entry = {**asdict(_cost_model(recs[0])), "layer": li, "padding": recs[0].spec.padding,
+                 "flops": flops, "baseline_flops": baseline, "alpha": alpha, "beta": beta}
         if alpha is not None:
-            m = _cost_model(r0, alpha, beta)
+            m = _cost_model(recs[0], alpha, beta)
             entry["acceleration_paper"] = acceleration(m, paper_variant=True)
             entry["acceleration_exact"] = acceleration(m, paper_variant=False)
         per_layer.append(entry)
 
     per_frame = []
-    for t, recs in enumerate(by_frame):
-        flops, alpha, beta = _summary(recs)
-        entry = {
-            "frame": t,
-            "is_key": recs[0].is_key,
-            "flops": flops,
-            "baseline_flops": sum(r.conv_flops for r in recs),
-            "alpha": alpha,
-            "beta": beta,
-        }
+    for t, recs in by_frame.items():
+        flops, baseline, alpha, beta, _ = _summary(recs)
+        entry = {"frame": t, "is_key": recs[0].is_key, "flops": flops,
+                 "baseline_flops": baseline, "alpha": alpha, "beta": beta}
         if result.oracle_max_abs is not None:
             entry["oracle_max_abs_err"] = result.oracle_max_abs[t]
             entry["oracle_mean_abs_err"] = result.oracle_mean_abs[t]
         per_frame.append(entry)
 
-    totals = result.ledger.counts()
-    baseline = result.baseline_total
-    measured_alpha, measured_beta = _aggregate_alpha_beta(records)
-    nonkey_measured = {
-        cat: sum(r.flops[cat] for r in records if not r.is_key)
-        for cat in ("me", "unmatched", "res")
-    }
-    exact_model = _model_totals(records, paper_variant=False)
-    discrepancy = {
-        cat: nonkey_measured[cat] - exact_model[cat] for cat in ("me", "unmatched", "res")
-    }
+    totals, baseline, alpha, beta, search_alpha = _summary(result.records)
+    nonkey = [r for r in result.records if r.stats is not None]
+    nonkey_flops, nonkey_baseline, *_ = _summary(nonkey)
+    models = [_cost_model(r, r.stats.alpha, r.stats.beta) for r in nonkey]
+    exact_model = _model_totals(models, nonkey_baseline, paper_variant=False)
     report = {
         "config": dict(config),
         "per_layer": per_layer,
@@ -231,15 +201,15 @@ def build_report(result: RunResult, config: dict) -> dict:
         "pred_bytes_moved": result.ledger.pred_bytes_moved,
         "baseline_totals": {"total": baseline},
         "delta_flops_pct": 100.0 * (1.0 - totals["total"] / baseline),
-        "measured_alpha": measured_alpha,
-        "measured_beta": measured_beta,
-        "measured_search_alpha": _aggregate_search_alpha(records),
+        "measured_alpha": alpha,
+        "measured_beta": beta,
+        "measured_search_alpha": search_alpha,
         "model": {
-            "paper_variant": _model_totals(records, paper_variant=True),
+            "paper_variant": _model_totals(models, nonkey_baseline, paper_variant=True),
             "exact_variant": exact_model,
             # measured minus exact-variant model, per non-key category; zero
             # everywhere when early stopping is disabled
-            "discrepancy_vs_exact": discrepancy,
+            "discrepancy_vs_exact": {cat: nonkey_flops[cat] - exact_model[cat] for cat in NONKEY},
         },
         "notes": {
             # Front-end ISP work is outside every counter here; conventional
@@ -260,39 +230,14 @@ def build_report(result: RunResult, config: dict) -> dict:
 
 
 def report_csv_rows(report: dict) -> list[list]:
-    """Flatten per-frame entries for spreadsheets."""
-    header = [
-        "frame",
-        "is_key",
-        "key_flops",
-        "me_flops",
-        "res_flops",
-        "unmatched_flops",
-        "total_flops",
-        "baseline_flops",
-        "alpha",
-        "beta",
-        "oracle_max_abs_err",
-        "oracle_mean_abs_err",
-    ]
-    rows = [header]
+    """Flatten per-frame entries for spreadsheets, one row of
+    ``CSV_COLUMNS`` per frame; floats as their repr, missing values empty."""
+    rows = [list(CSV_COLUMNS)]
     for entry in report["per_frame"]:
-        rows.append(
-            [
-                entry["frame"],
-                int(entry["is_key"]),
-                entry["flops"]["key"],
-                entry["flops"]["me"],
-                entry["flops"]["res"],
-                entry["flops"]["unmatched"],
-                entry["flops"]["total"],
-                entry["baseline_flops"],
-                "" if entry["alpha"] is None else repr(entry["alpha"]),
-                "" if entry["beta"] is None else repr(entry["beta"]),
-                repr(entry["oracle_max_abs_err"]) if "oracle_max_abs_err" in entry else "",
-                repr(entry["oracle_mean_abs_err"]) if "oracle_mean_abs_err" in entry else "",
-            ]
-        )
+        flat = {**entry, "is_key": int(entry["is_key"]),
+                **{f"{cat}_flops": n for cat, n in entry["flops"].items()}}
+        rows.append([repr(v) if isinstance(v, float) else "" if v is None else v
+                     for v in map(flat.get, CSV_COLUMNS)])
     return rows
 
 

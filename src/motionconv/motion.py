@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ledger import FlopsLedger
-from .tensors import ConvSpec, block_index, is_int, unfold_blocks
+from .tensors import ConvSpec, block_index, is_int, is_real, unfold_blocks
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class MotionParams:
         object.__setattr__(self, "search_range", int(self.search_range))
         for name in ("threshold", "early_stop_density", "match_max_density"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            if not is_real(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
         if not self.threshold >= 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")

@@ -185,7 +185,10 @@ def run_sequence(net: Network, frames: Iterable[FeatureMap], config: GopConfig) 
             outputs.append(x)
 
             if config.oracle:
-                ref = net.plain_forward(ensure_feature_map(frame))
+                try:
+                    ref = net.plain_forward(ensure_feature_map(frame))
+                except ValueError as exc:
+                    raise ValueError(f"frame {t}, dense oracle: {exc}") from exc
                 diff = np.abs(outputs[-1].astype(np.float64) - ref.astype(np.float64))
                 oracle_max.append(float(diff.max()))
                 oracle_mean.append(float(diff.mean()))

@@ -10,12 +10,11 @@ recovery assertions are well posed.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .tensors import ConvSpec, is_int
+from .tensors import ConvSpec, is_int, is_real
 
 KINDS = ("static", "global_translate", "block_translate", "noise_mix")
 
@@ -45,7 +44,7 @@ class SceneSpec:
         # generate draws the noise in float64 and casts it to float32, so an
         # amplitude past float32's largest value overflows one or the other
         amp_max = float(np.finfo(np.float32).max)
-        ok = isinstance(amp, numbers.Real) and not isinstance(amp, bool)
+        ok = is_real(amp)
         try:
             ok = ok and 0 <= float(amp) <= amp_max
         except OverflowError:  # an int or Fraction past float64's range

@@ -54,6 +54,23 @@ class TestModelConvFlops:
         with pytest.raises(ValueError):
             model(out_h=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("search_range", -1), ("kernel_size", 2.5), ("kernel_size", "3"),
+        ("stride", True), ("out_w", 4.0), ("search_range", True), ("search_range", None),
+        ("alpha", True), ("alpha", "0.5"), ("beta", None), ("beta", float("nan")), ("alpha", 1.5),
+    ])
+    def test_rejects_malformed_numbers(self, field, value):
+        # a float or bool dimension would make the "exact" model FLOPs floats
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            model(**{field: value})
+
+    def test_numpy_integers_become_python_ints(self):
+        # int32 products wrapped to 0 here before the geometry was converted
+        m = model(kernel_size=np.int32(3), in_channels=np.int32(64), out_channels=np.int32(64),
+                  out_h=np.int32(4096), out_w=np.int32(4096), alpha=np.float32(0.5))
+        assert model_conv_flops(m) == 2 * 9 * 64 * 64 * 4096 * 4096
+        assert type(m.out_h) is int
+
 
 class TestModelMevcFlops:
     def test_full_match_zero_density_range_zero(self):
@@ -203,6 +220,51 @@ class TestReport:
         nonkey = [r for r in result.records if not r.is_key]
         alpha = sum(r.stats.matched for r in nonkey) / sum(r.stats.positions for r in nonkey)
         assert report["measured_alpha"] == alpha
+
+    @pytest.mark.parametrize("kw,early_stopped", [
+        (dict(gop=4), True),
+        (dict(gop=4, early_stop_density=-1.0), False),
+        (dict(gop=4, tau=0.0), False),  # alpha < 1: search-alpha weights differ
+        (dict(gop=1), False),  # every frame a key frame: every alpha is None
+    ])
+    def test_every_aggregate_matches_the_records(self, kw, early_stopped):
+        result = small_run(**kw)
+        report = build_report(result, {})
+
+        def expected(recs):
+            stats = [r.stats for r in recs if not r.is_key]
+            baseline = sum(r.conv_flops for r in recs)
+            if not stats:
+                return baseline, None, None, None
+            positions = sum(s.positions for s in stats)
+            entries = sum(s.matched * s.block_size for s in stats)
+            return (baseline, sum(s.matched for s in stats) / positions,
+                    sum(s.nnz_total for s in stats) / entries if entries else 0.0,
+                    sum(s.search_alpha * s.positions for s in stats) / positions)
+
+        for key, entries in (("layer", report["per_layer"]), ("frame", report["per_frame"])):
+            for entry in entries:
+                recs = [r for r in result.records if getattr(r, key) == entry[key]]
+                got = (entry["baseline_flops"], entry["alpha"], entry["beta"])
+                assert got == expected(recs)[:3]
+        assert (report["baseline_totals"]["total"], report["measured_alpha"],
+                report["measured_beta"], report["measured_search_alpha"]) == expected(result.records)
+
+        nonkey = [r for r in result.records if not r.is_key]
+        exact = report["model"]["exact_variant"]
+        discrepancy = report["model"]["discrepancy_vs_exact"]
+        for cat in ("me", "unmatched", "res"):
+            model_sum = sum(model_nonkey_flops(CostModel(
+                r.spec.kernel_size, r.spec.stride, r.spec.in_channels, r.spec.out_channels,
+                r.out_h, r.out_w, r.search_range, r.stats.alpha, r.stats.beta))[cat] for r in nonkey)
+            assert exact[cat] == model_sum
+            assert discrepancy[cat] == sum(r.flops[cat] for r in nonkey) - model_sum
+        assert (discrepancy["me"] != 0) == early_stopped
+        nonkey_baseline = sum(r.conv_flops for r in nonkey)
+        assert exact["nonkey_acceleration"] == (
+            1.0 - exact["nonkey_total"] / nonkey_baseline if nonkey else None)
+        if kw["gop"] == 1:
+            assert all(e["alpha"] is None for e in report["per_layer"] + report["per_frame"])
 
     def test_model_exact_variant_matches_ledger_when_early_stop_disabled(self):
         result = small_run(gop=4, tau=0.01, early_stop_density=-1.0)

@@ -48,6 +48,29 @@ def test_an_output_bit_moved_is_named(tmp_path):
     assert "pan_noise seed 0: output 1:" in done.stdout
 
 
+def test_a_changed_report_byte_is_named(tmp_path):
+    # only report.csv changes: its rows end in "\n" where they ended in "\r\n"
+    head = _checkout_copy(tmp_path / "head")
+    analysis = head / "src" / "motionconv" / "analysis.py"
+    text = analysis.read_text()
+    anchor = "csv.writer(buf).writerows"
+    assert anchor in text
+    analysis.write_text(text.replace(anchor, 'csv.writer(buf, lineterminator="\\n").writerows'))
+    done = _run(ROOT, head)
+    assert done.returncode == 1
+    assert done.stdout.startswith("parity: differs at run seed 0: report.csv ")
+
+
+def test_report_difference_names_the_file():
+    report_difference = _parity().report_difference
+    base = {"run seed 1: exit": 0, "run seed 1: report.json": "a"}
+    assert report_difference(base, dict(base)) is None
+    assert report_difference(base, {**base, "run seed 1: report.json": "b"}) == (
+        "run seed 1: report.json a != b")
+    assert report_difference(base, {**base, "run seed 1: report.csv": "c"}) == (
+        "run seed 1: report.csv None != c")
+
+
 @pytest.mark.parametrize("text,seeds", [("0-9", range(10)), ("7", range(7, 8)),
                                         ("3-3", range(3, 4))])
 def test_seed_ranges(text, seeds):

@@ -5,7 +5,7 @@ from motionconv.layer import MotionCompLayer
 from motionconv.motion import MotionParams
 from motionconv.scheduler import GopConfig, Network, run_sequence
 from motionconv.synth import SceneSpec, generate, random_conv_spec
-from motionconv.tensors import save_weights
+from motionconv.tensors import ConvSpec, save_weights
 
 
 def make_net(seed=0, c_in=3, depth=2, c_mid=8, tau=0.01, **params):
@@ -228,3 +228,16 @@ class TestRunSequence:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=match):
             run_sequence(net, frames, GopConfig(gop_length=4))
         assert all(layer.cache is None and layer.last_stats is None for layer in net.layers)
+
+    def test_dense_oracle_failure_names_the_frame(self):
+        # matched positions are pure copies, so only the oracle's dense
+        # pass over the changed patch overflows float32
+        spec = ConvSpec(np.full((1, 1, 3, 3), 1e38, dtype=np.float32), padding=1)
+        net = Network([MotionCompLayer(spec, compensate=False)])
+        patch = np.zeros((1, 8, 8), dtype=np.float32)
+        patch[0, 3:5, 3:5] = 1.0
+        frames = [np.zeros((1, 8, 8), dtype=np.float32), patch]
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="^frame 1, dense oracle: convolution produced non-finite values$"):
+            run_sequence(net, frames, GopConfig(gop_length=2, oracle=True))
+        assert all(layer.cache is None for layer in net.layers)
