@@ -287,8 +287,9 @@ class MotionCompLayer:
         src_j = np.arange(j0, j1)[None, :] + field.mv_dx // s
         in_grid = (src_i >= 0) & (src_i < out_h) & (src_j >= 0) & (src_j < out_w)
         served = field.matched & in_grid
-        demoted = int(np.count_nonzero(field.matched & ~in_grid))
-        matched = int(np.count_nonzero(served)) + out_h * out_w - served.size
+        n_served = int(np.count_nonzero(served))
+        demoted = int(np.count_nonzero(field.matched)) - n_served
+        matched = n_served + out_h * out_w - served.size
 
         # the box is built in its own contiguous array: the prediction or the
         # fallback below writes every box position
@@ -322,11 +323,13 @@ class MotionCompLayer:
                     comp = np.take(ext, at, axis=1)
                 box += comp.reshape(box.shape)
 
-        fi, fj = np.nonzero(~served)
-        if fi.size:
+        fallback = np.flatnonzero(~served)
+        if fallback.size:
             r = self.params.search_range
+            fi, fj = np.divmod(fallback, box_w)
             cols = unfold_blocks(plane, spec.kernel_size, s, at=(fi + i0 + r, fj + j0 + r))
-            box[:, fi, fj] = self._affine(dense_rows(cols.T, spec, ledger, "unmatched"))
+            box.reshape(c_out, -1)[:, fallback] = self._affine(
+                dense_rows(cols.T, spec, ledger, "unmatched"))
         if not np.isfinite(box).all():
             raise ValueError("convolution produced non-finite values")
 

@@ -107,8 +107,9 @@ class Network:
 
 @dataclass
 class LayerFrameRecord:
-    """Exact cost of one layer on one frame, with the layer's ``spec`` and,
-    on a non-key frame, its match statistics ``stats`` (``None`` on a key
+    """Exact cost of one layer on one frame, with the layer's ``spec``, its
+    dense cost at these dims ``conv_flops`` (the baseline unit) and, on a
+    non-key frame, its match statistics ``stats`` (``None`` on a key
     frame)."""
 
     frame: int
@@ -118,13 +119,9 @@ class LayerFrameRecord:
     spec: ConvSpec
     out_h: int
     out_w: int
+    conv_flops: int
     search_range: int
     stats: Optional[NonKeyStats]
-
-    @property
-    def conv_flops(self) -> int:
-        """Dense cost of this layer at these dims (the baseline unit)."""
-        return 2 * self.spec.block_size * self.spec.out_channels * self.out_h * self.out_w
 
 
 @dataclass
@@ -177,6 +174,7 @@ def run_sequence(net: Network, frames: Iterable[FeatureMap], config: GopConfig) 
                     spec=layer.spec,
                     out_h=out_h,
                     out_w=out_w,
+                    conv_flops=layer.spec.conv_flops(in_h, in_w),
                     search_range=layer.params.search_range,
                     # a fresh NonKeyStats per non-key pass, None after a key pass
                     stats=layer.last_stats,

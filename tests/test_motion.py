@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionconv.ledger import FlopsLedger
-from motionconv.motion import MotionParams, _kept
+from motionconv.motion import MotionParams, _box, _candidate_offsets, _kept, _score
 from motionconv.synth import SceneSpec, generate
 from motionconv.tensors import ConvSpec
 
@@ -89,6 +89,57 @@ class TestKept:
         plane.ravel()[: edges.size] = edges
         for mag in (edges, plane):
             np.testing.assert_array_equal(_kept(mag, tau), (mag >= tau) & (mag != 0))
+
+
+def score_out_of_place(cur_pad, ref_pad, k, s, tau, corner, out_h, out_w, shifts):
+    """``_score`` one candidate at a time on fresh arrays: a new ``cur -
+    shifted`` per candidate, then ``np.sum`` over channels and ``_kept``."""
+    hh, ww = (out_h - 1) * s + k, (out_w - 1) * s + k
+    y, x = corner
+    cur = cur_pad[:, y : y + hh, x : x + ww]
+    sads, kepts = [], []
+    with np.errstate(over="ignore"):
+        for dy, dx in shifts:
+            mag = np.abs(cur - ref_pad[:, y + dy : y + dy + hh, x + dx : x + dx + ww])
+            sads.append(_box(np.sum(mag, axis=0), k, s, out_h, out_w, np.float32))
+            kepts.append(_box(np.sum(_kept(mag, tau), axis=0), k, s, out_h, out_w, np.int32))
+    return np.stack(sads), np.stack(kepts)
+
+
+class TestScore:
+    @pytest.mark.parametrize("overflow", [False, True])
+    @pytest.mark.parametrize("tau", [0.0, 0.01])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("first", [(0, 0), (2, 1)])
+    def test_matches_out_of_place_reference(self, first, stride, tau, overflow):
+        # a box of 5 x 6 windows at grid position `first`, search range 1;
+        # the planes reach past the box on every side, so each channel's
+        # run of rows passes through columns beside the box and its rows lie
+        # a plane apart
+        k, s, c, out_h, out_w = 3, stride, 3, 5, 6
+        m = s
+        corner = (first[0] * s + m, first[1] * s + m)
+        hh, ww = (out_h - 1) * s + k, (out_w - 1) * s + k
+        shape = (c, corner[0] + hh + m + 2, corner[1] + ww + m + 3)
+        rng = np.random.default_rng(31 + s)
+        ref_pad = rng.uniform(-1, 1, shape).astype(np.float32)
+        # small differences, some of them below tau
+        cur_pad = (ref_pad + rng.normal(0, 0.02, shape)).astype(np.float32)
+        if overflow:
+            # one difference overflows float32, and one channel sum of
+            # finite differences does
+            y, x = corner[0] + 1, corner[1] + 2
+            cur_pad[0, y, x], ref_pad[0, y, x] = 3e38, -3e38
+            cur_pad[:, y + 2, x + 1], ref_pad[:, y + 2, x + 1] = 2e38, 0.0
+        shifts = _candidate_offsets(1) * s
+        sad, kept = _score(cur_pad, ref_pad, k, s, tau, corner, out_h, out_w, shifts)
+        want_sad, want_kept = score_out_of_place(
+            cur_pad, ref_pad, k, s, tau, corner, out_h, out_w, shifts)
+        assert sad.shape == kept.shape == (len(shifts), out_h, out_w)
+        assert (sad.dtype, kept.dtype) == (np.float32, np.int32)
+        np.testing.assert_array_equal(sad.view(np.uint32), want_sad.view(np.uint32))
+        np.testing.assert_array_equal(kept.view(np.uint32), want_kept.view(np.uint32))
+        assert np.isinf(sad).any() == overflow
 
 
 class TestMotionParams:

@@ -199,6 +199,25 @@ class TestRunSequence:
         assert all(r.flops["me"] == 0 for r in key_records)
         assert all(r.stats is None for r in key_records)
 
+    def test_record_conv_flops_is_the_layer_dense_cost(self):
+        # layers that change the grid (stride 2, no padding, k=1) so that each
+        # layer's input dims differ from the frame's and from its output dims
+        rng = np.random.default_rng(21)
+        shapes = [(3, 8, 3, 1, 1), (8, 8, 3, 2, 1), (8, 4, 3, 1, 0), (4, 4, 1, 1, 0)]
+        net = Network([MotionCompLayer(random_conv_spec(rng, *shape))
+                       for shape in shapes])
+        frames = generate(SceneSpec(kind="global_translate", height=15, width=13, channels=3,
+                                    frame_count=4, motion=(1, 0), seed=22))
+        result = run_sequence(net, frames, GopConfig(gop_length=3))
+        assert len(result.records) == 4 * len(shapes)
+        for rec in result.records:
+            h, w = frames[0].shape[1:]
+            for layer in net.layers[: rec.layer]:
+                h, w = layer.spec.out_shape(h, w)
+            assert type(rec.conv_flops) is int
+            assert rec.conv_flops == rec.spec.conv_flops(h, w)
+        assert result.baseline_total == sum(rec.conv_flops for rec in result.records)
+
     def test_caches_released_on_return(self):
         # every run starts with a key frame, so nothing may outlive the run
         net = make_net(seed=12)
