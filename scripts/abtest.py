@@ -8,16 +8,19 @@ metrics which follow the checkout's path (``peak_rss_mb``, ``setup_s``)
 compare like with like. Pair i runs BASE first when i is even and HEAD
 first when i is odd; each run is the checkout's own benchmark command
 (``BENCHMARK.json``'s ``command``) with ``--workload W --seed S --seconds T
---trace 0``, T being ``BENCHMARK.json``'s ``run_seconds`` unless
-``--seconds`` is given, in that checkout's directory. The run's result is
-the last line of its standard output.
+--trace 0``, T being ``BENCHMARK.json``'s ``run_seconds``, in that
+checkout's directory. The run's result is the last line of its standard
+output.
 
 For each end-to-end metric of ``BENCHMARK.json`` the script prints each
 side's median and quartiles, the pairs HEAD won (ties count for neither),
 the median gap in the better direction, and whether a claimed gain would
 hold: HEAD ahead in at least nine tenths of the pairs and the median gap
-larger than BASE's interquartile range. It also flags a metric whose
-median is worse than BASE's by more than its bound. ``--json PATH`` writes
+larger than BASE's interquartile range. Its bound column reads WORSE
+when HEAD's median is worse than BASE's by more than the metric's bound,
+else ``unresolved`` when either side's IQR, relative to BASE's median,
+exceeds the bound and HEAD's runs are not all better than all of BASE's
+(the spread is too wide to tell), else ``ok``. ``--json PATH`` writes
 every run's line and the summary. The worktrees are removed at the end.
 Exit code 1 means a run failed (nonzero exit, ``correct`` false, or no
 result line), 2 a usage error.
@@ -55,10 +58,14 @@ def compare(base: list[float], head: list[float], better: str, bound: float) -> 
     won = sum(sign * (h - b) > 0 for b, h in zip(base, head))
     gap = sign * (hq[1] - bq[1]) + 0.0  # positive when HEAD's median is better; no -0.0
     iqr = bq[2] - bq[0]
+    worse = bq[1] != 0 and -gap / abs(bq[1]) > bound
+    spread = max(iqr, hq[2] - hq[0]) / abs(bq[1]) if bq[1] else 0.0
+    all_better = min(sign * h for h in head) > max(sign * b for b in base)
     return {
         "base": bq, "head": hq, "won": won, "pairs": len(base), "gap": gap, "base_iqr": iqr,
         "claim_holds": 10 * won >= 9 * len(base) and gap > iqr,
-        "worse_beyond_bound": bq[1] != 0 and -gap / abs(bq[1]) > bound,
+        "worse_beyond_bound": worse,
+        "unresolved": not worse and spread > bound and not all_better,
     }
 
 
@@ -91,14 +98,11 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", required=True, type=int)
     ap.add_argument("--pairs", required=True, type=int)
-    ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json)")
-    ap.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent,
-                    help="repository holding both commits (default: this checkout)")
     ap.add_argument("--json", type=Path, help="write every run and the summary here")
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.seed < 0:
         ap.error("--pairs must be >= 1 and --seed >= 0")
-    repo = args.repo.resolve()
+    repo = Path(__file__).resolve().parent.parent
     try:
         commits = [git(repo, "rev-parse", "--verify", f"{c}^{{commit}}")
                    for c in (args.base, args.head)]
@@ -116,7 +120,7 @@ def main(argv=None) -> int:
                 print("abtest: BENCHMARK.json differs between the commits", file=sys.stderr)
                 return 2
             bench = benches[0]
-            seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+            seconds = bench["run_seconds"]
             for i in range(args.pairs):
                 for side in (0, 1) if i % 2 == 0 else (1, 0):
                     run = run_side(trees[side], bench["command"], args.workload, args.seed,
@@ -147,10 +151,11 @@ def main(argv=None) -> int:
         # each side ran once per pair, in pair order
         s = summary[name] = compare(vals["base"], vals["head"], m["better"], m["bound"])
         fmt = "/".join
+        verdict = "WORSE" if s["worse_beyond_bound"] else "unresolved" if s["unresolved"] else "ok"
         print(f"{name:<18} {fmt(f'{v:.4g}' for v in s['base']):>30} "
               f"{fmt(f'{v:.4g}' for v in s['head']):>30} {s['won']:>3}/{s['pairs']:<2} "
               f"{s['gap']:>10.4g} {s['base_iqr']:>10.4g}  {'yes' if s['claim_holds'] else 'no':<5}  "
-              f"{'WORSE' if s['worse_beyond_bound'] else 'ok'}")
+              f"{verdict}")
     if bad:
         print(f"abtest: {len(bad)} of {len(runs)} runs failed", file=sys.stderr)
         for r in bad:

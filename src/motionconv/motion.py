@@ -288,8 +288,6 @@ def _score(
     def box(px, acc):
         return _box(px.reshape(-1, hh, wp)[..., :ww], k, s, out_h, out_w, acc)
 
-    # _kept's comparison, picked once for every candidate
-    keeps, bound = (np.greater_equal, tau) if tau > 0 else (np.not_equal, 0)
     with np.errstate(over="ignore"):
         for n, (dy, dx) in enumerate(shifts):
             shifted = window(ref, corner[0] + int(dy), corner[1] + int(dx))
@@ -297,7 +295,7 @@ def _score(
             np.subtract(mag, shifted, out=mag)
             np.abs(mag, out=mag)
             np.add.reduce(mag, axis=0, out=sad_px[n, :run])
-            keeps(mag, bound, out=keep)
+            _kept(mag, tau, out=keep)
             np.add.reduce(keep.view(np.uint8), axis=0, dtype=kept_px.dtype, out=kept_px[n, :run])
         sad = box(sad_px, np.float32)
     return sad, box(kept_px, np.int32)
@@ -503,9 +501,7 @@ def search_planes(
                 block_sad = _block_sad(cur_cols[:, None] - ref_cols)
                 _, live[:, ti, tj], winner[ti, tj] = _replay(block_sad, kept[:, ti, tj], trigger)
             best_cand[rows, cols] = winner
-            # kept[winner[i, j], i, j] through one flat index
-            flat = winner * winner.size + np.arange(winner.size).reshape(winner.shape)
-            best_nnz[rows, cols] = np.take(kept, flat)
+            best_nnz[rows, cols] = np.take_along_axis(kept, winner[None], axis=0)[0]
             evaluated += int(np.count_nonzero(live[1:]))
     if ledger is not None:
         ledger.charge("me", 2 * bsz * evaluated)
