@@ -13,7 +13,10 @@ checkout's directory. The run's result is the last line of its standard
 output.
 
 For each end-to-end metric of ``BENCHMARK.json`` the script prints each
-side's median and quartiles, the pairs HEAD won (ties count for neither),
+side's median and quartiles, the median and quartiles of the per-pair
+ratio HEAD over BASE (the host's slow and fast phases move both runs of a
+pair together, which the ratio cancels and the medians do not), the pairs
+HEAD won (ties count for neither),
 the median gap in the better direction, and whether a claimed gain would
 hold: HEAD ahead in at least nine tenths of the pairs and the median gap
 larger than BASE's interquartile range. Its bound column reads WORSE
@@ -61,8 +64,10 @@ def compare(base: list[float], head: list[float], better: str, bound: float) -> 
     worse = bq[1] != 0 and -gap / abs(bq[1]) > bound
     spread = max(iqr, hq[2] - hq[0]) / abs(bq[1]) if bq[1] else 0.0
     all_better = min(sign * h for h in head) > max(sign * b for b in base)
+    ratio = quartiles([h / b for b, h in zip(base, head)]) if all(base) else None
     return {
-        "base": bq, "head": hq, "won": won, "pairs": len(base), "gap": gap, "base_iqr": iqr,
+        "base": bq, "head": hq, "ratio": ratio, "won": won, "pairs": len(base), "gap": gap,
+        "base_iqr": iqr,
         "claim_holds": 10 * won >= 9 * len(base) and gap > iqr,
         "worse_beyond_bound": worse,
         "unresolved": not worse and spread > bound and not all_better,
@@ -139,7 +144,7 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s, "
           f"{commits[0][:10]} (base) against {commits[1][:10]} (head)")
     print(f"{'metric':<18} {'base q1/median/q3':>30} {'head q1/median/q3':>30} "
-          f"{'won':>6} {'gap':>10} {'base IQR':>10}  claim  bound")
+          f"{'head/base q1/median/q3':>24} {'won':>6} {'gap':>10} {'base IQR':>10}  claim  bound")
     for m in bench["end_to_end"]:
         name = m["name"]
         vals = {side: [r["line"]["metrics"][name]["value"] for r in runs
@@ -152,8 +157,10 @@ def main(argv=None) -> int:
         s = summary[name] = compare(vals["base"], vals["head"], m["better"], m["bound"])
         fmt = "/".join
         verdict = "WORSE" if s["worse_beyond_bound"] else "unresolved" if s["unresolved"] else "ok"
+        ratio = fmt(f"{v:.4f}" for v in s["ratio"]) if s["ratio"] else "-"
         print(f"{name:<18} {fmt(f'{v:.4g}' for v in s['base']):>30} "
-              f"{fmt(f'{v:.4g}' for v in s['head']):>30} {s['won']:>3}/{s['pairs']:<2} "
+              f"{fmt(f'{v:.4g}' for v in s['head']):>30} {ratio:>24} "
+              f"{s['won']:>3}/{s['pairs']:<2} "
               f"{s['gap']:>10.4g} {s['base_iqr']:>10.4g}  {'yes' if s['claim_holds'] else 'no':<5}  "
               f"{verdict}")
     if bad:

@@ -300,10 +300,11 @@ class MotionCompLayer:
 
         nnz_total = 0
         if served.any():
-            # Sources of unserved positions are clipped, and the fallback
-            # overwrites those positions, demoted listed ones included.
+            # Sources of unserved positions may lie off the grid and wrap,
+            # but the fallback overwrites those positions, demoted listed
+            # ones included; numpy's "wrap" took ~3/4 of "clip"'s time.
             src = src_i * out_w + src_j
-            np.take(prev.reshape(c_out, -1), src, axis=1, out=box, mode="clip")
+            np.take(prev.reshape(c_out, -1), src, axis=1, out=box, mode="wrap")
             nz = field.residual_at
             if self.compensate:
                 nnz_total = int(field.nnz[served].sum())
@@ -315,12 +316,14 @@ class MotionCompLayer:
                     comp *= self.post_scale[:, None]
                 if nz.size < served.size:
                     # column n goes to box position nz[n]; every other
-                    # position takes an appended -0.0 column
+                    # position takes an appended -0.0 column. Every index
+                    # is in range, and "wrap" took 2/3-9/10 of the
+                    # default "raise" gather's time.
                     ext = np.full((c_out, nz.size + 1), -0.0, np.float32)
                     ext[:, :-1] = comp
                     at = np.full(served.size, nz.size)
                     at[nz] = np.arange(nz.size)
-                    comp = np.take(ext, at, axis=1)
+                    comp = np.take(ext, at, axis=1, mode="wrap")
                 box += comp.reshape(box.shape)
 
         fallback = np.flatnonzero(~served)

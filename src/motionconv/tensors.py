@@ -131,11 +131,18 @@ def block_index(
     arrays of equal length n indexing the grid of every stride-aligned
     k x k window of a ``(C, H, W)`` plane of ``shape``: row t of column n
     is tap t = (dy, dx) of position n, as an offset into one channel of
-    the plane flattened to ``(C, H*W)``. Raises ``ValueError`` when a
-    position lies outside the grid."""
+    the plane flattened to ``(C, H*W)``. Raises ``ValueError`` unless the
+    positions are two 1-D integer (not bool) arrays of one length inside
+    the grid: the gathers read the offsets with ``take(mode="wrap")``, so
+    this check is all that keeps a gather from wrapping."""
     _, hp, wp = shape
     k, s = kernel_size, stride
     rows, cols = np.asarray(at[0]), np.asarray(at[1])
+    for a in (rows, cols):
+        if a.ndim != 1 or a.dtype.kind not in "iu":
+            raise ValueError(f"positions must be 1-D integer arrays, got {a.dtype} {a.shape}")
+    if rows.size != cols.size:
+        raise ValueError(f"got {rows.size} rows but {cols.size} columns")
     if rows.size and (
         min(rows.min(), cols.min()) < 0
         or rows.max() > (hp - k) // s
@@ -143,6 +150,8 @@ def block_index(
     ):
         raise ValueError("a gathered position lies outside the grid")
     taps = (np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1, 1)
+    # offsets in intp: in a narrower type of the positions they could overflow
+    rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
     return taps + (rows * (s * wp) + cols * s)
 
 
@@ -173,9 +182,10 @@ def unfold_blocks(
     if at is not None:
         index = block_index(padded.shape, k, s, at)
         out = np.empty((c * k * k, index.shape[1]), dtype=np.float32)
-        # block_index checks the positions, so "clip" never clips; it lets
-        # take write to out unbuffered
-        np.take(padded.reshape(c, hp * wp), index, axis=1, mode="clip",
+        # block_index checks the positions, so "wrap" never wraps: numpy's
+        # "wrap" gather took ~3/4 of "clip"'s time (same bits), and either
+        # writes to out unbuffered
+        np.take(padded.reshape(c, hp * wp), index, axis=1, mode="wrap",
                 out=out.reshape(c, k * k, -1))
         return out
     win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))

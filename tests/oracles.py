@@ -14,7 +14,8 @@ per position, the form the per-position references compare with.
 
 The rest are references only tests use: ``search``, the motion search
 on two frames, which validates and pads them for ``motion.search_planes``;
-``unpack``, the inverse of ``bayer.pack``; and ``expected_motion``, the
+``sliding_tap_views``, the ``sliding_window_view`` construction of
+``motion._tap_views``; ``unpack``, the inverse of ``bayer.pack``; and ``expected_motion``, the
 ground-truth vectors a search should recover on a synthetic scene
 (``GroundTruthMotion``).
 """
@@ -376,6 +377,16 @@ def dense_residual(field) -> np.ndarray:
     rows = np.zeros((field.positions, field.block_size), dtype=np.float32)
     rows[field.residual_at] = field.residual.T
     return rows
+
+
+def sliding_tap_views(plane: np.ndarray, k: int, s: int, y: int, x: int, h: int,
+                      w: int) -> np.ndarray:
+    """``motion._tap_views`` built from ``sliding_window_view``: the ``(C,
+    k, k, h, w)`` taps of the stride-``s`` windows at grid positions (y + i,
+    x + j) of ``plane``."""
+    win = np.lib.stride_tricks.sliding_window_view(plane, (k, k), axis=(1, 2))
+    win = win[:, y * s : (y + h - 1) * s + 1 : s, x * s : (x + w - 1) * s + 1 : s]
+    return win.transpose(0, 3, 4, 1, 2)
 
 
 def unpack(packed: np.ndarray, pattern: str) -> BayerFrame:

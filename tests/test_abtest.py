@@ -173,3 +173,15 @@ def test_claim_rule(base, head, better, won, holds, unresolved):
     assert s["claim_holds"] is holds
     assert s["unresolved"] is unresolved
     assert not s["worse_beyond_bound"]
+
+
+def test_pair_ratio():
+    # slow and fast phases of the host: head is faster within four of five
+    # pairs, yet its median reads 90% slower, since more of its runs fell in
+    # the slow phase; the per-pair ratio shows the pairs as they ran
+    s = _abtest().compare([10.0, 10.0, 10.0, 20.0, 20.0], [9.0, 9.0, 21.0, 19.0, 19.0],
+                          "lower", bound=0.25)
+    assert s["won"] == 4 and s["head"][1] == 19.0 and s["base"][1] == 10.0
+    assert s["ratio"] == pytest.approx((0.9, 0.95, 0.95))
+    # no ratio when a base run reads 0
+    assert _abtest().compare([0.0, 1.0], [1.0, 1.0], "higher", bound=0.25)["ratio"] is None

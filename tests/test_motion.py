@@ -4,11 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionconv.ledger import FlopsLedger
-from motionconv.motion import MotionParams, _box, _candidate_offsets, _kept, _score
+from motionconv.motion import (
+    MotionParams,
+    _box,
+    _candidate_offsets,
+    _kept,
+    _score,
+    _tap_views,
+)
 from motionconv.synth import SceneSpec, generate
 from motionconv.tensors import ConvSpec
 
-from oracles import expected_motion, full_grid, naive_sad, sad, search, threshold_residual
+from oracles import (
+    expected_motion,
+    full_grid,
+    naive_sad,
+    sad,
+    search,
+    sliding_tap_views,
+    threshold_residual,
+)
 
 
 def make_spec(rng, c_in=3, c_out=4, k=3, stride=1, padding=1):
@@ -140,6 +155,58 @@ class TestScore:
         np.testing.assert_array_equal(sad.view(np.uint32), want_sad.view(np.uint32))
         np.testing.assert_array_equal(kept.view(np.uint32), want_kept.view(np.uint32))
         assert np.isinf(sad).any() == overflow
+
+
+    @pytest.mark.parametrize("k, c", [(5, 99), (3, 257)])
+    def test_kept_counts_exact_when_every_entry_is_kept(self, k, c):
+        # every difference is at least tau, so each window keeps all its
+        # k^2 C entries: an odd count above 2048, which float16 cannot hold,
+        # summed per pixel in uint8 (C = 99) or uint16 (C = 257)
+        out_h, out_w = 3, 4
+        shape = (c, (out_h - 1) + k + 2, (out_w - 1) + k + 2)
+        rng = np.random.default_rng(k)
+        ref_pad = rng.uniform(-1, 1, shape).astype(np.float32)
+        cur_pad = ref_pad + np.where(rng.random(shape) < 0.5, 0.5, -0.5).astype(np.float32)
+        shifts = _candidate_offsets(1)
+        sad, kept = _score(cur_pad, ref_pad, k, 1, 0.01, (1, 1), out_h, out_w, shifts[:1])
+        assert kept.dtype == np.int32
+        np.testing.assert_array_equal(kept, np.full((1, out_h, out_w), k * k * c))
+        assert (k * k * c) % 2 and k * k * c > 2048
+
+    def test_rejects_blocks_whose_kept_counts_float32_cannot_hold(self):
+        # the check comes before any array work, so a broadcast plane of
+        # 5 x 5 x 671089 > 2^24 entries per block costs no memory
+        plane = np.broadcast_to(np.zeros(1, np.float32), (671089, 5, 5))
+        with pytest.raises(ValueError, match="float32 cannot hold"):
+            _score(plane, plane, 5, 1, 0.01, (0, 0), 1, 1, _candidate_offsets(0))
+
+
+class TestTapViews:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("corner", [(0, 0), (2, 1)])
+    @pytest.mark.parametrize("cropped", [False, True])
+    def test_equals_sliding_window_construction(self, k, s, corner, cropped):
+        rng = np.random.default_rng(10 * k + s)
+        plane = rng.standard_normal((3, 19, 23)).astype(np.float32)
+        if cropped:
+            # a contiguous crop, as search_planes makes, and one channel
+            # slice of it, which starts inside a larger buffer
+            plane = np.ascontiguousarray(plane[:, 2:17, 1:20])[1:]
+        h, w = 2, 3
+        got = _tap_views(plane, k, s, *corner, h, w)
+        want = sliding_tap_views(plane, k, s, *corner, h, w)
+        assert got.shape == want.shape == (plane.shape[0], k, k, h, w)
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert np.shares_memory(got, plane)
+
+    def test_reaches_the_plane_end(self):
+        # the last window of a box that ends at the grid's end reads the
+        # plane's last row and column
+        plane = np.arange(2 * 7 * 9, dtype=np.float32).reshape(2, 7, 9)
+        got = _tap_views(plane, 3, 2, 1, 1, 2, 3)
+        np.testing.assert_array_equal(got, sliding_tap_views(plane, 3, 2, 1, 1, 2, 3))
+        assert got[:, -1, -1, -1, -1].tolist() == plane[:, -1, -1].tolist()
 
 
 class TestMotionParams:

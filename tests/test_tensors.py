@@ -4,7 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionconv.ledger import FlopsLedger
-from motionconv.tensors import ConvSpec, conv2d, load_weights, save_weights, unfold_blocks, zero_pad
+from motionconv.tensors import (
+    ConvSpec,
+    block_index,
+    conv2d,
+    load_weights,
+    save_weights,
+    unfold_blocks,
+    zero_pad,
+)
 
 from oracles import (
     SparseBlock,
@@ -218,6 +226,41 @@ class TestUnfoldBlocks:
         for rows, cols in [([grid_h], [0]), ([0], [grid_w]), ([-1], [0]), ([0], [-1])]:
             with pytest.raises(ValueError, match="outside the grid"):
                 unfold_blocks(padded, 3, 2, at=(np.array(rows), np.array(cols)))
+
+    @pytest.mark.parametrize(
+        "rows, cols, match",
+        [
+            # floats, even whole ones, would reach take as non-integer indices
+            (np.array([0.0, 1.0]), np.array([0, 1]), "integer"),
+            (np.array([0, 1]), np.array([1.0, 0.0]), "integer"),
+            # bools are not positions
+            (np.array([True, False]), np.array([0, 1]), "integer"),
+            # 2-D positions, or rows and columns of other lengths, would
+            # broadcast into blocks nobody asked for
+            (np.array([[0, 1]]), np.array([[1, 0]]), "1-D"),
+            (np.array([0, 1]), np.array([1]), "2 rows but 1 columns"),
+            (np.array([0]), np.array([0, 1]), "1 rows but 2 columns"),
+        ],
+    )
+    def test_rejects_malformed_positions(self, rows, cols, match):
+        # the gathers read with take(mode="wrap"), which would wrap rather
+        # than fail, so block_index's check is the only one
+        padded = np.ones((2, 8, 8), dtype=np.float32)
+        with pytest.raises(ValueError, match=match):
+            block_index(padded.shape, 3, 1, (rows, cols))
+        with pytest.raises(ValueError, match=match):
+            unfold_blocks(padded, 3, 1, at=(rows, cols))
+
+    def test_accepts_any_integer_dtype(self):
+        # row 30 starts 30 * 40 elements into a channel, more than int8 or
+        # uint8 holds
+        padded = np.arange(2 * 40 * 40, dtype=np.float32).reshape(2, 40, 40)
+        rows, cols = [0, 30, 37], [2, 1, 37]
+        want = unfold_blocks(padded, 3, 1, at=(np.array(rows), np.array(cols)))
+        np.testing.assert_array_equal(want[:, 1], padded[:, 30:33, 1:4].ravel())
+        for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint64):
+            at = (np.array(rows, dtype), np.array(cols, dtype))
+            np.testing.assert_array_equal(unfold_blocks(padded, 3, 1, at=at), want)
 
 
 class TestConvSparseBlock:
