@@ -15,9 +15,9 @@ per position, the form the per-position references compare with.
 The rest are references only tests use: ``search``, the motion search
 on two frames, which validates and pads them for ``motion.search_planes``;
 ``sliding_tap_views``, the ``sliding_window_view`` construction of
-``motion._tap_views``; ``unpack``, the inverse of ``bayer.pack``; and ``expected_motion``, the
-ground-truth vectors a search should recover on a synthetic scene
-(``GroundTruthMotion``).
+``motion._tap_views``; ``unpack``, the inverse of ``bayer.pack``; and
+``expected_motion``, the ground-truth vectors a search should recover on
+a synthetic scene (``GroundTruthMotion``).
 """
 
 from dataclasses import dataclass, field

@@ -162,16 +162,16 @@ class TestScore:
         # every difference is at least tau, so each window keeps all its
         # k^2 C entries: an odd count above 2048, which float16 cannot hold,
         # summed per pixel in uint8 (C = 99) or uint16 (C = 257)
+        assert (k * k * c) % 2 and k * k * c > 2048
         out_h, out_w = 3, 4
         shape = (c, (out_h - 1) + k + 2, (out_w - 1) + k + 2)
         rng = np.random.default_rng(k)
         ref_pad = rng.uniform(-1, 1, shape).astype(np.float32)
         cur_pad = ref_pad + np.where(rng.random(shape) < 0.5, 0.5, -0.5).astype(np.float32)
         shifts = _candidate_offsets(1)
-        sad, kept = _score(cur_pad, ref_pad, k, 1, 0.01, (1, 1), out_h, out_w, shifts[:1])
+        _, kept = _score(cur_pad, ref_pad, k, 1, 0.01, (1, 1), out_h, out_w, shifts[:1])
         assert kept.dtype == np.int32
         np.testing.assert_array_equal(kept, np.full((1, out_h, out_w), k * k * c))
-        assert (k * k * c) % 2 and k * k * c > 2048
 
     def test_rejects_blocks_whose_kept_counts_float32_cannot_hold(self):
         # the check comes before any array work, so a broadcast plane of
